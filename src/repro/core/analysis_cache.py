@@ -12,11 +12,18 @@ The flows and the DSE engine recompute the same pure analyses over and over:
   scheduled edge, and its outer relaxation loop replays the same schedule
   prefixes attempt after attempt (on relaxation-heavy design points >80 % of
   these rebuilds are exact repeats);
+* **timed-DFG structures** — every pinned timed DFG of one design has the
+  same nodes, arcs and topological order; only the arc weights depend on
+  the spans.  One :class:`~repro.core.timed_dfg.TimedStructure` per design
+  holds the names, the CSR index arrays and the Kahn order, and a pinned
+  rebuild that misses the table above computes just its weight lists
+  (:meth:`~repro.core.graphkit.CompactTimedGraph.reweighted`) instead of a
+  full ``build_timed_dfg`` plus an interning pass and a topological sort;
 * **sequential slack** — budgeting calls
   :func:`~repro.core.sequential_slack.compute_sequential_slack` with delay
   maps that recur across re-budgeting passes.
 
-:class:`AnalysisCache` memoizes all three behind explicit keys.  Every key
+:class:`AnalysisCache` memoizes all four behind explicit keys.  Every key
 starts from :func:`design_fingerprint`, a structural hash of the CFG + DFG
 (including insertion order, which scheduling tie-breaks observe), so designs
 rebuilt by a factory hit the cache even though they are distinct objects.
@@ -32,7 +39,9 @@ a flow and avoid such edits afterwards.
 
 Memory: each table is a bounded LRU; :meth:`AnalysisCache.cache_info`
 exposes hits/misses/evictions and :meth:`AnalysisCache.clear` empties all
-tables.  The module-level :func:`default_cache` instance is shared by the
+tables, the structures included.  A cached pinned timed DFG borrows its
+structure's lists (copy on write), so the per-entry cost is two weight
+layouts rather than a whole graph.  The module-level :func:`default_cache` instance is shared by the
 flows and the engine within one process (each process-pool worker gets its
 own copy, which is what lets a worker amortize analyses across the points it
 evaluates).
@@ -49,7 +58,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.core.sequential_slack import TimingResult, compute_sequential_slack
-from repro.core.timed_dfg import TimedDFG, build_timed_dfg
+from repro.core.timed_dfg import TimedDFG, TimedStructure
 
 _FINGERPRINT_ATTR = "_repro_structural_fingerprint"
 _TOKEN_ATTR = "_repro_cache_token"
@@ -160,13 +169,18 @@ class AnalysisCache:
     pinned-span keys across its relaxation attempts, so 4096 entries keep a
     whole sweep's working set resident (the Table-4 sweep was eviction-bound
     at smaller sizes) without letting an unbounded sweep grow the process.
+    The timed-DFG structure table shares the artifact bound: one structure
+    per design.
     """
 
     def __init__(self, max_artifacts: int = 64, max_spans: int = 4096,
                  max_slack: int = 4096):
         self._artifacts = _LRUTable("artifacts", max_artifacts)
+        self._structures = _LRUTable("timed_structures", max_artifacts)
         self._spans = _LRUTable("spans", max_spans)
         self._slack = _LRUTable("sequential_slack", max_slack)
+        self._tables = (self._artifacts, self._structures, self._spans,
+                        self._slack)
         self._delta_lock = threading.Lock()
         self.delta_evaluators = 0
         self.delta_updates = 0
@@ -205,15 +219,16 @@ class AnalysisCache:
         be the design's canonical analysis (it only depends on the CFG, which
         the fingerprint covers).
         """
-        key = (design_fingerprint(design),
-               tuple(sorted(pinned.items())),
-               not_before)
+        fingerprint = design_fingerprint(design)
+        key = (fingerprint, tuple(sorted(pinned.items())), not_before)
 
         def build():
             spans = OperationSpans(design, latency=latency, pinned=pinned,
                                    not_before=not_before)
-            timed = build_timed_dfg(design, spans=spans, latency=latency)
-            return spans, timed
+            structure = self._structures.get_or_build(
+                fingerprint, lambda: TimedStructure(design))
+            return spans, structure.timed(f"{design.name}.timed", spans,
+                                          latency)
 
         return self._spans.get_or_build(key, build)
 
@@ -257,14 +272,11 @@ class AnalysisCache:
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/eviction/size counters of every table."""
-        return {
-            table.name: table.info()
-            for table in (self._artifacts, self._spans, self._slack)
-        }
+        return {table.name: table.info() for table in self._tables}
 
     def clear(self) -> None:
         """Drop every cached entry (counters are kept)."""
-        for table in (self._artifacts, self._spans, self._slack):
+        for table in self._tables:
             table.clear()
 
 

@@ -179,6 +179,8 @@ class _BudgetTemplate:
 _TEMPLATE_LOCK = threading.Lock()
 _TEMPLATES: "OrderedDict" = OrderedDict()
 _MAX_TEMPLATES = 128
+_template_hits = 0
+_template_misses = 0
 
 
 def _budget_template(design: Design, library: Library) -> _BudgetTemplate:
@@ -188,6 +190,7 @@ def _budget_template(design: Design, library: Library) -> _BudgetTemplate:
     as structurally immutable after first analysis (the same contract the
     analysis cache and ``TimedDFG.compact`` already rely on).
     """
+    global _template_hits, _template_misses
     from repro.core.analysis_cache import _object_token
 
     key = (_object_token(design), _object_token(library))
@@ -195,7 +198,9 @@ def _budget_template(design: Design, library: Library) -> _BudgetTemplate:
         template = _TEMPLATES.get(key)
         if template is not None:
             _TEMPLATES.move_to_end(key)
+            _template_hits += 1
             return template
+        _template_misses += 1
     template = _BudgetTemplate(design, library)
     with _TEMPLATE_LOCK:
         _TEMPLATES[key] = template
@@ -203,6 +208,13 @@ def _budget_template(design: Design, library: Library) -> _BudgetTemplate:
         while len(_TEMPLATES) > _MAX_TEMPLATES:
             _TEMPLATES.popitem(last=False)
     return template
+
+
+def budget_template_info() -> Dict[str, int]:
+    """Hit/miss/size counters of the budgeting template LRU."""
+    with _TEMPLATE_LOCK:
+        return {"hits": _template_hits, "misses": _template_misses,
+                "size": len(_TEMPLATES), "maxsize": _MAX_TEMPLATES}
 
 
 class _BudgetState:

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import math
 from heapq import heappush, heappop
+from itertools import compress
+from operator import ne
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.graphkit import ALIGN_EPS, CompactTimedGraph, required_kernel
@@ -51,6 +53,14 @@ from repro.obs.trace import span as _obs_span
 _SEED_HITS = _obs_counter("delta_seeds.hits")
 _SEED_MISSES = _obs_counter("delta_seeds.misses")
 _SEED_INSERTS = _obs_counter("delta_seeds.inserts")
+_SEED_PATCHED = _obs_counter("delta_seeds.patched")
+
+#: Seeds kept per graph, and the most delay edits a nearest-seed start may
+#: replay; a rebuild further from every seed runs the full kernels.
+_MAX_SEEDS = 64
+_MAX_SEED_EDITS = 8
+#: Newest seeds a nearest-seed lookup compares against.
+_SEED_SCAN = 4
 
 _EPS = 1e-6
 _NEG_INF = -float("inf")
@@ -108,6 +118,33 @@ def arrival_effective_kernel(
     return arrival, effective
 
 
+def _nearest_seed(seeds: dict, key: tuple) -> Optional[Tuple[tuple, List[int]]]:
+    """The cached seed key closest to ``key`` and the nodes whose delays
+    differ from it, or None when no seed is within :data:`_MAX_SEED_EDITS`.
+
+    Only the :data:`_SEED_SCAN` newest seeds are compared (the relaxation
+    loop's replays differ least from the latest one in nearly every case),
+    and the scan stops at one difference.
+    """
+    delays, clock_period, aligned = key
+    best = None
+    best_count = _MAX_SEED_EDITS + 1
+    # A snapshot of the keys: another thread may insert a seed meanwhile.
+    for base_key in reversed(list(seeds)[-_SEED_SCAN:]):
+        base_delays, base_clock, base_aligned = base_key
+        if base_clock != clock_period or base_aligned != aligned:
+            continue
+        count = sum(map(ne, base_delays, delays))
+        if count < best_count:
+            best, best_count = base_key, count
+            if count <= 1:
+                break
+    if best is None:
+        return None
+    changed = list(compress(range(len(delays)), map(ne, best[0], delays)))
+    return best, changed
+
+
 class DeltaSlackEvaluator:
     """Maintains arrival/required/slack vectors under single-delay changes.
 
@@ -130,47 +167,62 @@ class DeltaSlackEvaluator:
         self.graph = graph
         self.clock_period = clock_period
         self.aligned = aligned
-        self.delays = list(delays)
-        # Seed cache: the slack scheduler's relaxation loop replays the same
-        # schedule prefixes, so evaluators are frequently rebuilt over the
-        # exact same (graph, delays, clock, aligned) — the initial kernel
-        # vectors are a pure function of that key, so copies of a cached run
-        # are bit-identical to a fresh one.
-        seeds = graph._delta_seeds
-        if seeds is None:
-            seeds = graph._delta_seeds = {}
-        seed_key = (tuple(self.delays), clock_period, aligned)
-        seed = seeds.get(seed_key)
-        if seed is None:
-            _SEED_MISSES.inc()
-            with _obs_span("delta.seed_kernels", nodes=graph.num_nodes):
-                self.arrival, self.effective = arrival_effective_kernel(
-                    graph, self.delays, clock_period, aligned)
-                self.required = required_kernel(graph, self.delays,
-                                                clock_period, aligned=aligned)
-            if len(seeds) < 64:
-                seeds[seed_key] = (list(self.arrival), list(self.effective),
-                                   list(self.required))
-                _SEED_INSERTS.inc()
-        else:
-            _SEED_HITS.inc()
-            base_arrival, base_effective, base_required = seed
-            self.arrival = list(base_arrival)
-            self.effective = list(base_effective)
-            self.required = list(base_required)
-        # Topo positions depend only on the graph; budgeting builds several
-        # evaluators per compact graph, so the vector is stamped on it.
-        topo_pos = getattr(graph, "_delta_topo_pos", None)
-        if topo_pos is None:
-            topo_pos = [0] * graph.num_nodes
-            for position, node in enumerate(graph.topo_view()):
-                topo_pos[node] = position
-            graph._delta_topo_pos = topo_pos
-        self._topo_pos = topo_pos
+        self._topo_pos = graph.topo_positions()
         self._journal: Optional[list] = None
         self._worst: Optional[float] = None
         self.updates = 0
         self.fallbacks = 0
+        self._seed(list(delays))
+        # Replayed seed edits are not budgeting updates.
+        self.updates = 0
+
+    def _seed(self, delays: List[float]) -> None:
+        """Initial vectors for ``delays`` from the graph's seed cache.
+
+        The slack scheduler's relaxation loop replays the same schedule
+        prefixes, so evaluators are frequently rebuilt over the exact same
+        (graph, delays, clock, aligned) — the initial kernel vectors are a
+        pure function of that key, so copies of a cached run are
+        bit-identical to a fresh one.  Most other rebuilds differ from a
+        cached seed of the same graph in a delay or two: those start from
+        the nearest such seed and replay the differences through
+        :meth:`set_delay`, which is exact by the argument in the module
+        docstring.  Only a graph without a close seed runs the full kernels.
+        """
+        graph = self.graph
+        clock_period, aligned = self.clock_period, self.aligned
+        seeds = graph._delta_seeds
+        if seeds is None:
+            seeds = graph._delta_seeds = {}
+        seed_key = (tuple(delays), clock_period, aligned)
+        seed = seeds.get(seed_key)
+        if seed is not None:
+            _SEED_HITS.inc()
+            self.delays = delays
+            self.arrival, self.effective, self.required = (
+                list(vector) for vector in seed)
+            return
+        nearest = _nearest_seed(seeds, seed_key)
+        if nearest is not None:
+            _SEED_PATCHED.inc()
+            base_key, changed = nearest
+            self.delays = list(base_key[0])
+            self.arrival, self.effective, self.required = (
+                list(vector) for vector in seeds[base_key])
+            for node in changed:
+                self.set_delay(node, delays[node])
+        else:
+            _SEED_MISSES.inc()
+            self.delays = delays
+            with _obs_span("delta.seed_kernels", nodes=graph.num_nodes):
+                self.arrival, self.effective = arrival_effective_kernel(
+                    graph, delays, clock_period, aligned)
+                self.required = required_kernel(graph, delays, clock_period,
+                                                aligned=aligned)
+        if len(seeds) < _MAX_SEEDS:
+            seeds[seed_key] = (list(self.arrival), list(self.effective),
+                               list(self.required))
+            _SEED_INSERTS.inc()
 
     # -- mutation ---------------------------------------------------------------
 

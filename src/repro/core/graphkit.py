@@ -39,6 +39,9 @@ one per graph object and drops it on any ``add_node``/``add_edge`` — the
 same rule as its cached topological order — so a compact view can never
 outlive the structure it was interned from.  Build one directly with
 :meth:`CompactTimedGraph.from_timed` when bypassing that cache.
+:meth:`CompactTimedGraph.reweighted` derives a snapshot that shares every
+array but the weights (the topological order depends only on the arcs);
+the slack scheduler's pinned timed DFGs are built that way.
 """
 
 from __future__ import annotations
@@ -82,9 +85,9 @@ class CompactTimedGraph:
         "names", "index", "num_nodes", "num_edges", "cyclic",
         "succ_indptr", "succ_dst", "succ_weight",
         "pred_indptr", "pred_src", "pred_weight",
-        "op_indices",
-        "_topo", "_topo_view", "_bf_edges", "_pred_view", "_succ_view",
-        "_delta_topo_pos", "_delta_seeds",
+        "op_indices", "_slot_arcs",
+        "_topo", "_topo_view", "_topo_pos", "_bf_edges", "_pred_view",
+        "_succ_view", "_delta_seeds",
     )
 
     def __init__(
@@ -121,18 +124,22 @@ class CompactTimedGraph:
 
         succ_dst = [0] * self.num_edges
         succ_weight = [0] * self.num_edges
+        succ_arc = [0] * self.num_edges
         pred_src = [0] * self.num_edges
         pred_weight = [0] * self.num_edges
+        pred_arc = [0] * self.num_edges
         succ_fill = list(succ_counts)
         pred_fill = list(pred_counts)
-        for src, dst, weight in edges:
+        for arc, (src, dst, weight) in enumerate(edges):
             slot = succ_fill[src]
             succ_dst[slot] = dst
             succ_weight[slot] = weight
+            succ_arc[slot] = arc
             succ_fill[src] = slot + 1
             slot = pred_fill[dst]
             pred_src[slot] = src
             pred_weight[slot] = weight
+            pred_arc[slot] = arc
             pred_fill[dst] = slot + 1
 
         self.succ_indptr = array("l", succ_counts)
@@ -144,14 +151,17 @@ class CompactTimedGraph:
         if op_indices is None:
             op_indices = range(n)
         self.op_indices = array("l", op_indices)
+        # Insertion-order arc of every successor / predecessor slot, so
+        # :meth:`reweighted` can lay out a new weight list without re-sorting.
+        self._slot_arcs: Tuple[list, list] = (succ_arc, pred_arc)
         self._topo: Optional[array] = None
         self._topo_view: Optional[list] = None
+        self._topo_pos: Optional[list] = None
         self._bf_edges: Optional[List[Tuple[int, int, int]]] = None
         self._pred_view: Optional[Tuple[list, list, list]] = None
         self._succ_view: Optional[Tuple[list, list, list]] = None
-        # Lazily filled by DeltaSlackEvaluator (node index -> topo position,
-        # and (delays, clock, aligned) -> initial kernel vectors).
-        self._delta_topo_pos: Optional[list] = None
+        # Lazily filled by DeltaSlackEvaluator: (delays, clock, aligned) ->
+        # initial kernel vectors.
         self._delta_seeds: Optional[dict] = None
 
     # -- construction --------------------------------------------------------------
@@ -172,6 +182,40 @@ class CompactTimedGraph:
         op_indices = [index[name] for name in timed.operation_nodes]
         return cls(names, edges, op_indices=op_indices,
                    cyclic=getattr(timed, "cyclic", False))
+
+    def reweighted(self, weights: Sequence[int]) -> "CompactTimedGraph":
+        """This graph with new arc weights and everything else shared.
+
+        ``weights[arc]`` is the weight of the ``arc``-th edge in the
+        insertion order the graph was built from.  Names, CSR index arrays,
+        operation indices and the topological order (which depends only on
+        the arcs) are shared with ``self``, so the result costs two weight
+        layouts instead of an interning pass and a Kahn sort.  Both graphs
+        are snapshots: never mutate either.
+        """
+        if len(weights) != self.num_edges:
+            raise TimingError("reweighted graph needs one weight per arc")
+        if not self.cyclic and min(weights, default=0) < 0:
+            raise TimingError(
+                "timed-DFG edge weights are state counts and must be >= 0")
+        graph = CompactTimedGraph.__new__(CompactTimedGraph)
+        for slot in ("names", "index", "num_nodes", "num_edges", "cyclic",
+                     "succ_indptr", "succ_dst", "pred_indptr", "pred_src",
+                     "op_indices", "_slot_arcs"):
+            setattr(graph, slot, getattr(self, slot))
+        succ_arc, pred_arc = self._slot_arcs
+        succ_weight = [weights[arc] for arc in succ_arc]
+        pred_weight = [weights[arc] for arc in pred_arc]
+        graph.succ_weight = array("l", succ_weight)
+        graph.pred_weight = array("l", pred_weight)
+        graph._topo = self.topo
+        graph._topo_view = self.topo_view()
+        graph._topo_pos = self.topo_positions()
+        graph._pred_view = (*self.pred_view()[:2], pred_weight)
+        graph._succ_view = (*self.succ_view()[:2], succ_weight)
+        graph._bf_edges = None
+        graph._delta_seeds = None
+        return graph
 
     # -- cached derived structures ---------------------------------------------------
 
@@ -209,6 +253,15 @@ class CompactTimedGraph:
         if self._topo_view is None:
             self._topo_view = list(self.topo)
         return self._topo_view
+
+    def topo_positions(self) -> list:
+        """``positions[node]`` = index of ``node`` in :meth:`topo_view`; cached."""
+        if self._topo_pos is None:
+            positions = [0] * self.num_nodes
+            for position, node in enumerate(self.topo_view()):
+                positions[node] = position
+            self._topo_pos = positions
+        return self._topo_pos
 
     def pred_view(self) -> Tuple[list, list, list]:
         """``(indptr, src, weight)`` as plain lists — the kernels' hot-loop

@@ -41,8 +41,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.ir.design import Design
-from repro.ir.operations import Operation, OpKind
+from repro.ir.operations import OpKind
 from repro.core.latency import LatencyAnalysis
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,22 @@ class _SpanTemplate:
     birth/fixedness/predecessor/successor records and the control-compatible
     candidate-edge lists only depend on the design and its latency analysis —
     so they are resolved once here and shared by every pinned rebuild.
+
+    Each rule of the span computation is a pure function of a small key,
+    so the template also memoizes all three across rebuilds:
+
+    * the early edge of ``(birth, floor, predecessor earlies)``;
+    * the late edge of ``(strict flag, birth, early, successor fixedness,
+      successor lates)``;
+    * the whole :class:`SpanInfo` (span edges included) of ``(operation,
+      early, late)``.
+
+    The memos are bounded: when their total size reaches
+    :data:`_MAX_SPAN_MEMO` entries all three are emptied.
     """
 
-    __slots__ = ("shape", "order", "records", "nofloor")
+    __slots__ = ("shape", "order", "records", "nofloor",
+                 "early_memo", "late_memo", "info_memo")
 
     def __init__(self, design: Design, latency: LatencyAnalysis):
         dfg = design.dfg
@@ -84,11 +99,15 @@ class _SpanTemplate:
         self.shape = (cfg.num_nodes, cfg.num_edges,
                       dfg.num_operations, dfg.num_edges)
         self.order: List[str] = dfg.topological_order()
-        # name -> (op, birth, early_fixed, late_fixed, pred_names, succ_infos)
+        # name -> (birth, early_fixed, late_fixed, pred_names, succ_names,
+        #          succ_fixedness)
         self.records: Dict[str, tuple] = {}
         # birth edge -> control-compatible forward edges in topological order
         # (no not_before floor applied).
         self.nofloor: Dict[str, List[str]] = {}
+        self.early_memo: Dict[tuple, Optional[str]] = {}
+        self.late_memo: Dict[tuple, str] = {}
+        self.info_memo: Dict[tuple, SpanInfo] = {}
         ordered_edges = latency._forward_edges_ordered()
         compatible = latency.control_compatible
         for name in self.order:
@@ -108,18 +127,31 @@ class _SpanTemplate:
                 pred_name for pred_name in dfg.predecessors(name)
                 if dfg.op(pred_name).kind is not OpKind.CONST
             )
-            succs = tuple(
-                (succ_name, dfg.op(succ_name).is_fixed)
-                for succ_name in dfg.successors(name)
-            )
+            succs = tuple(dfg.successors(name))
+            succ_fixed = tuple(dfg.op(succ).is_fixed for succ in succs)
             late_fixed = op.is_fixed or bool(op.attrs.get("branch_condition"))
-            self.records[name] = (op, birth, op.is_fixed, late_fixed,
-                                  preds, succs)
+            self.records[name] = (birth, op.is_fixed, late_fixed,
+                                  preds, succs, succ_fixed)
+
+    def memo_entries(self) -> int:
+        return (len(self.early_memo) + len(self.late_memo)
+                + len(self.info_memo))
+
+    def trim(self) -> None:
+        """Empty the rule memos once they reach their bound."""
+        if self.memo_entries() >= _MAX_SPAN_MEMO:
+            self.early_memo.clear()
+            self.late_memo.clear()
+            self.info_memo.clear()
 
 
 _SPAN_TEMPLATE_LOCK = threading.Lock()
 _SPAN_TEMPLATES: "OrderedDict" = OrderedDict()
 _MAX_SPAN_TEMPLATES = 128
+#: Bound on the rule-memo entries of one template (all three memos).
+_MAX_SPAN_MEMO = 32768
+_span_template_hits = 0
+_span_template_misses = 0
 
 
 def _span_template(design: Design, latency: LatencyAnalysis) -> _SpanTemplate:
@@ -131,6 +163,7 @@ def _span_template(design: Design, latency: LatencyAnalysis) -> _SpanTemplate:
     count-preserving in-place edits are not — run IR transforms before
     handing a design to the analyses.
     """
+    global _span_template_hits, _span_template_misses
     from repro.core.analysis_cache import _object_token
 
     key = (_object_token(design), _object_token(latency))
@@ -140,7 +173,9 @@ def _span_template(design: Design, latency: LatencyAnalysis) -> _SpanTemplate:
         template = _SPAN_TEMPLATES.get(key)
         if template is not None and template.shape == shape:
             _SPAN_TEMPLATES.move_to_end(key)
+            _span_template_hits += 1
             return template
+        _span_template_misses += 1
     template = _SpanTemplate(design, latency)
     with _SPAN_TEMPLATE_LOCK:
         _SPAN_TEMPLATES[key] = template
@@ -148,6 +183,20 @@ def _span_template(design: Design, latency: LatencyAnalysis) -> _SpanTemplate:
         while len(_SPAN_TEMPLATES) > _MAX_SPAN_TEMPLATES:
             _SPAN_TEMPLATES.popitem(last=False)
     return template
+
+
+def span_template_info() -> Dict[str, int]:
+    """Hit/miss/size counters of the template LRU and its rule memos."""
+    with _SPAN_TEMPLATE_LOCK:
+        return {
+            "hits": _span_template_hits,
+            "misses": _span_template_misses,
+            "size": len(_SPAN_TEMPLATES),
+            "maxsize": _MAX_SPAN_TEMPLATES,
+            "memo_entries": sum(template.memo_entries()
+                                for template in _SPAN_TEMPLATES.values()),
+            "memo_maxsize": _MAX_SPAN_MEMO,
+        }
 
 
 class OperationSpans:
@@ -218,28 +267,20 @@ class OperationSpans:
         self._candidate_memo[key] = edges
         return edges
 
-    def _data_predecessors(self, op: Operation) -> List[Operation]:
-        dfg = self.design.dfg
-        preds = []
-        for name in dfg.predecessors(op.name):
-            pred = dfg.op(name)
-            if pred.kind is OpKind.CONST:
-                continue  # constants do not constrain timing (paper Def. 2 step 2)
-            preds.append(pred)
-        return preds
-
-    def _data_successors(self, op: Operation) -> List[Operation]:
-        dfg = self.design.dfg
-        return [dfg.op(name) for name in dfg.successors(op.name)]
-
     def _compute(self) -> None:
         # The reach sets make every reachability question a set-membership
         # test (each set contains its own source edge, so the non-strict
         # queries need no equality special case).
         reach = self.latency._reach_set
         pinned = self._pinned
-        records = self._template.records
-        order = self._template.order
+        template = self._template
+        template.trim()
+        records = template.records
+        order = template.order
+        early_memo = template.early_memo
+        late_memo = template.late_memo
+        info_memo = template.info_memo
+        floor = self._not_before_pos
         strict_io = self.strict_io_successors
         candidate_edges = self._candidate_edges
         early: Dict[str, str] = {}
@@ -247,7 +288,7 @@ class OperationSpans:
 
         # Forward pass: early edges.
         for name in order:
-            _, birth, early_fixed, _, preds, _ = records[name]
+            birth, early_fixed, _, preds, _, _ = records[name]
             pinned_edge = pinned.get(name)
             if pinned_edge is not None:
                 early[name] = pinned_edge
@@ -255,16 +296,12 @@ class OperationSpans:
             if early_fixed:
                 early[name] = birth
                 continue
-            chosen = None
-            for edge in candidate_edges(birth, respect_floor=True):
-                ok = True
-                for pred in preds:
-                    if edge not in reach(early[pred]):
-                        ok = False
-                        break
-                if ok:
-                    chosen = edge
-                    break
+            pred_earlies = tuple([early[pred] for pred in preds])
+            key = (birth, floor, pred_earlies)
+            chosen = early_memo.get(key, _MISSING)
+            if chosen is _MISSING:
+                chosen = self._early_rule(birth, pred_earlies)
+                early_memo[key] = chosen
             if chosen is None:
                 raise TimingError(
                     f"operation {name!r} has no feasible early edge "
@@ -274,7 +311,7 @@ class OperationSpans:
 
         # Backward pass: late edges.
         for name in reversed(order):
-            _, birth, _, late_fixed, _, succs = records[name]
+            birth, _, late_fixed, _, succs, succ_fixed = records[name]
             pinned_edge = pinned.get(name)
             if pinned_edge is not None:
                 late[name] = pinned_edge
@@ -282,57 +319,67 @@ class OperationSpans:
             if late_fixed:
                 late[name] = birth
                 continue
-            early_reach = reach(early[name])
-            chosen = None
-            for edge in reversed(candidate_edges(birth, respect_floor=False)):
-                if edge not in early_reach:
-                    continue
-                ok = True
-                for succ_name, succ_fixed in succs:
-                    succ_late = late[succ_name]
-                    if succ_fixed and strict_io:
-                        if edge == succ_late or succ_late not in reach(edge):
-                            ok = False
-                            break
-                    elif succ_late not in reach(edge):
-                        ok = False
-                        break
-                if ok:
-                    chosen = edge
-                    break
+            early_name = early[name]
+            succ_lates = tuple([late[succ] for succ in succs])
+            key = (strict_io, birth, early_name, succ_fixed, succ_lates)
+            chosen = late_memo.get(key)
             if chosen is None:
-                # Fall back to the early edge: the operation has no mobility.
-                chosen = early[name]
+                chosen = self._late_rule(birth, early_name, succ_lates,
+                                         succ_fixed)
+                late_memo[key] = chosen
             late[name] = chosen
 
-        # Assemble span sets.
+        # Assemble span sets.  A pinned span is the one-edge span of an
+        # operation whose early and late edges coincide, so it shares the
+        # memo.
         spans = self._spans
         for name in order:
-            birth = records[name][1]
-            pinned_edge = pinned.get(name)
-            if pinned_edge is not None:
-                edges = (pinned_edge,)
-            else:
-                early_name = early[name]
-                late_name = late[name]
+            key = (name, early[name], late[name])
+            info = info_memo.get(key)
+            if info is None:
+                early_name, late_name = key[1], key[2]
                 early_reach = reach(early_name)
                 edges = tuple(
-                    edge for edge in candidate_edges(birth, respect_floor=False)
+                    edge for edge in candidate_edges(records[name][0],
+                                                     respect_floor=False)
                     if edge in early_reach and late_name in reach(edge)
-                )
-                if not edges:
-                    edges = (early_name,)
-            spans[name] = SpanInfo(op=name, early=early[name],
-                                   late=late[name], edges=edges)
+                ) or (early_name,)
+                info = SpanInfo(op=name, early=early_name, late=late_name,
+                                edges=edges)
+                info_memo[key] = info
+            spans[name] = info
 
-    def _require_birth(self, op: Operation) -> str:
-        if op.birth_edge is None:
-            raise TimingError(f"operation {op.name!r} has no birth edge")
-        if not self.design.cfg.has_edge(op.birth_edge):
-            raise TimingError(
-                f"operation {op.name!r} born on unknown edge {op.birth_edge!r}"
-            )
-        return op.birth_edge
+    def _early_rule(self, birth: str, pred_earlies: tuple) -> Optional[str]:
+        """The first floor-respecting candidate edge reachable from every
+        predecessor's early edge, or None when there is none."""
+        pred_reach = [self.latency._reach_set(edge) for edge in pred_earlies]
+        for edge in self._candidate_edges(birth, respect_floor=True):
+            if all(edge in reachable for reachable in pred_reach):
+                return edge
+        return None
+
+    def _late_rule(self, birth: str, early_name: str, succ_lates: tuple,
+                   succ_fixed: tuple) -> str:
+        """The last candidate edge after ``early_name`` from which every
+        successor's late edge is still reachable (strictly, for fixed I/O
+        successors under ``strict_io_successors``); the early edge if none."""
+        reach = self.latency._reach_set
+        strict_io = self.strict_io_successors
+        early_reach = reach(early_name)
+        for edge in reversed(self._candidate_edges(birth, respect_floor=False)):
+            if edge not in early_reach:
+                continue
+            edge_reach = reach(edge)
+            ok = True
+            for succ_late, fixed in zip(succ_lates, succ_fixed):
+                if succ_late not in edge_reach or (
+                        fixed and strict_io and edge == succ_late):
+                    ok = False
+                    break
+            if ok:
+                return edge
+        # Fall back to the early edge: the operation has no mobility.
+        return early_name
 
     # -- queries --------------------------------------------------------------------
 

@@ -18,6 +18,11 @@ materialized lazily on first use — the timing kernels never ask for them;
 they run on the :meth:`TimedDFG.compact` CSR snapshot
 (:class:`repro.core.graphkit.CompactTimedGraph`), which is cached per graph
 and invalidated by any mutation, exactly like the cached topological order.
+
+:class:`TimedStructure` is the same construction split in two: the nodes and
+arcs, which depend only on the design, are interned once, and each set of
+spans then costs only its arc weights.  Timed DFGs built from a structure
+borrow its lists and copy them on their first mutation.
 """
 
 from __future__ import annotations
@@ -80,10 +85,21 @@ class TimedDFG:
         self._pred: Optional[Dict[str, List[TimedEdge]]] = None
         self._topo: Optional[List[str]] = None
         self._compact = None
+        # True while the node/edge lists are borrowed from a TimedStructure.
+        self._shared = False
 
     # -- construction -----------------------------------------------------------
 
     def _invalidate(self) -> None:
+        if self._shared:
+            # Copy on first write: the borrowed lists belong to every timed
+            # DFG built from the same structure.
+            self._nodes = list(self._nodes)
+            self._node_index = dict(self._node_index)
+            self._edge_src = list(self._edge_src)
+            self._edge_dst = list(self._edge_dst)
+            self._edge_weight = list(self._edge_weight)
+            self._shared = False
         self._edge_objs = None
         self._succ = None
         self._pred = None
@@ -93,9 +109,9 @@ class TimedDFG:
     def add_node(self, name: str) -> None:
         if name in self._node_index:
             raise TimingError(f"duplicate timed-DFG node {name!r}")
+        self._invalidate()
         self._node_index[name] = len(self._nodes)
         self._nodes.append(name)
-        self._invalidate()
 
     def add_edge(self, src: str, dst: str, weight: int) -> None:
         node_index = self._node_index
@@ -104,10 +120,10 @@ class TimedDFG:
                 raise TimingError(f"timed-DFG edge references unknown node {endpoint!r}")
         if weight < 0 and not self.cyclic:
             raise TimingError("timed-DFG edge weights are state counts and must be >= 0")
+        self._invalidate()
         self._edge_src.append(src)
         self._edge_dst.append(dst)
         self._edge_weight.append(int(weight))
-        self._invalidate()
 
     # -- accessors ---------------------------------------------------------------
 
@@ -242,6 +258,89 @@ def build_timed_dfg(
                 )
             timed.add_edge(name, sink, weight)
     return timed
+
+
+class TimedStructure:
+    """The nodes and arcs every timed DFG of one design shares.
+
+    :func:`build_timed_dfg` adds the same nodes and arcs, in the same order,
+    whatever the spans: the spans only decide the weights.  So the slack
+    scheduler's pinned rebuilds (one per scheduled edge) intern the
+    structure once per design — names, CSR index arrays and the topological
+    order — and per pinned state compute just the arc weights
+    (:meth:`timed`).  The result equals ``build_timed_dfg(design, spans,
+    latency)`` node for node, arc for arc and weight for weight, raising the
+    same :class:`TimingError` on an undefined latency.
+    """
+
+    __slots__ = ("nodes", "node_index", "arc_src", "arc_dst", "data_arcs",
+                 "ops", "compact")
+
+    def __init__(self, design: Design):
+        self.ops: List[str] = [op.name for op in design.dfg.operations
+                               if op.kind is not OpKind.CONST]
+        position = {name: index for index, name in enumerate(self.ops)}
+        # Data arcs as operation-position pairs, then one sink arc per op.
+        self.data_arcs: List[Tuple[int, int]] = [
+            (position[edge.src], position[edge.dst])
+            for edge in design.dfg.forward_edges
+            if edge.src in position and edge.dst in position
+        ]
+        sinks = [sink_name(name) for name in self.ops]
+        self.nodes: List[str] = self.ops + sinks
+        self.node_index: Dict[str, int] = {
+            name: index for index, name in enumerate(self.nodes)}
+        ops, count = self.ops, len(self.ops)
+        self.arc_src: List[str] = ([ops[src] for src, _ in self.data_arcs]
+                                   + list(ops))
+        self.arc_dst: List[str] = ([ops[dst] for _, dst in self.data_arcs]
+                                   + sinks)
+        from repro.core.graphkit import CompactTimedGraph
+
+        arcs = [(src, dst, 0) for src, dst in self.data_arcs]
+        arcs.extend((index, count + index, 0) for index in range(count))
+        self.compact = CompactTimedGraph(self.nodes, arcs,
+                                         op_indices=range(count))
+
+    def weights(self, spans: OperationSpans,
+                latency: LatencyAnalysis) -> List[int]:
+        """Arc weights under ``spans``, in :func:`build_timed_dfg` order."""
+        ops = self.ops
+        span_map = spans.all_spans()
+        infos = [span_map[name] for name in ops]
+        early = [info.early for info in infos]
+        lat = latency.latency
+        weights = []
+        for src, dst in self.data_arcs:
+            weight = lat(early[src], early[dst])
+            if weight is None:
+                raise TimingError(
+                    f"data edge {ops[src]!r} -> {ops[dst]!r} connects "
+                    f"operations whose early edges ({early[src]!r}, "
+                    f"{early[dst]!r}) are not forward related")
+            weights.append(weight)
+        for name, info in zip(ops, infos):
+            weight = lat(info.early, info.late)
+            if weight is None:
+                raise TimingError(
+                    f"operation {name!r} has a late edge unreachable from "
+                    f"its early edge")
+            weights.append(weight)
+        return weights
+
+    def timed(self, name: str, spans: OperationSpans,
+              latency: LatencyAnalysis) -> TimedDFG:
+        """The timed DFG under ``spans``, borrowing this structure's lists."""
+        weights = self.weights(spans, latency)
+        timed = TimedDFG(name)
+        timed._nodes = self.nodes
+        timed._node_index = self.node_index
+        timed._edge_src = self.arc_src
+        timed._edge_dst = self.arc_dst
+        timed._edge_weight = weights
+        timed._compact = self.compact.reweighted(weights)
+        timed._shared = True
+        return timed
 
 
 def carried_edge_weight(

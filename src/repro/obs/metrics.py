@@ -243,8 +243,13 @@ _builtin_probes_installed = False
 def _analysis_cache_probe() -> Dict[str, object]:
     from repro.core.analysis_cache import default_cache
 
+    from repro.core.budgeting import budget_template_info
+    from repro.core.opspan import span_template_info
+
     cache = default_cache()
     info: Dict[str, object] = dict(cache.cache_info())
+    info["budget_templates"] = budget_template_info()
+    info["span_templates"] = span_template_info()
     info["delta_evaluators"] = cache.delta_evaluators
     info["delta_updates"] = cache.delta_updates
     return info
@@ -270,11 +275,15 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
     """One call covering every cache layer in the process.
 
     * ``analysis_cache`` — the :class:`~repro.core.analysis_cache.AnalysisCache`
-      LRU tables (artifacts / spans / sequential slack) plus its delta-slack
-      counters, via :meth:`cache_info` (the public accessor, unchanged);
+      LRU tables (artifacts / timed structures / spans / sequential slack)
+      via :meth:`cache_info`, its delta-slack counters, and the two interned
+      template LRUs: ``budget_templates`` (:mod:`repro.core.budgeting`) and
+      ``span_templates`` (:mod:`repro.core.opspan`, with the entry count of
+      its span-rule memos);
     * ``delta_seeds`` — hit/miss/insert tallies of the per-graph seed cache
       in :mod:`repro.core.delta_slack` (owned counters, incremented at the
-      seed lookup);
+      seed lookup), plus ``patched``: evaluators started from the nearest
+      cached seed instead of the full kernels;
     * ``characterization`` — the library characterisation memo
       (:data:`repro.lib.characterize._CLASS_CACHE`) hit/miss/size;
     * ``jsonl_stores`` — lines the append-only JSONL loaders
@@ -297,6 +306,7 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
             "hits": counter("delta_seeds.hits").value,
             "misses": counter("delta_seeds.misses").value,
             "inserts": counter("delta_seeds.inserts").value,
+            "patched": counter("delta_seeds.patched").value,
         },
         "characterization": dict(_characterization_probe()),
         "jsonl_stores": {

@@ -144,7 +144,8 @@ def profile_report(
 def _cache_efficiency_rows(caches: Dict[str, Dict[str, object]]) -> List[List[str]]:
     rows: List[List[str]] = []
     analysis = caches.get("analysis_cache", {})
-    for table in ("artifacts", "spans", "sequential_slack"):
+    for table in ("artifacts", "timed_structures", "spans",
+                  "sequential_slack", "budget_templates", "span_templates"):
         info = analysis.get(table)
         if not isinstance(info, dict):
             continue

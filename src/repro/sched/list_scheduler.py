@@ -71,10 +71,6 @@ class SchedulingAttempt:
         return self.schedule
 
 
-def _op_delay(op, library: Library, variant: Optional[ResourceVariant]) -> float:
-    return library.operation_delay(op, variant)
-
-
 def try_list_schedule(
     design: Design,
     library: Library,
@@ -118,75 +114,86 @@ def try_list_schedule(
     schedule = Schedule(design, clock_period)
     budget = clock_period - timing_margin
 
-    pending = {op.name for op in dfg.operations if op.kind is not OpKind.CONST}
-    # Operations are only ever removed from ``pending`` during a pass, so one
-    # up-front sort fixes the deterministic scan order for the whole pass:
-    # filtering the sorted list by membership yields exactly ``sorted(pending)``.
+    # Per-pass tables.  Constants are never scheduled, so every consumer
+    # below — readiness, chained starts, the chain-driver walk — only sees
+    # the non-constant predecessors.
+    ops = {op.name: op for op in dfg.operations if op.kind is not OpKind.CONST}
+    pending = set(ops)
+    # Operations only ever leave ``pending``, so one up-front sort fixes the
+    # deterministic scan order for the whole pass.
     pending_order = sorted(pending)
-    # Non-constant data predecessors, resolved once per pass.  Constant
-    # predecessors are never scheduled (they are excluded from ``pending``),
-    # so every consumer below — the ready check, the chained-start scan and
-    # the chain-driver walk — only ever observes the non-constant ones.
-    preds_map = {
-        name: tuple(p for p in dfg.predecessors(name)
-                    if dfg.op(p).kind is not OpKind.CONST)
-        for name in pending_order
-    }
+    preds_map = {name: tuple(p for p in dfg.predecessors(name) if p in ops)
+                 for name in pending_order}
+    succs_map: Dict[str, List[str]] = {name: [] for name in pending_order}
+    for name in pending_order:
+        for pred in preds_map[name]:
+            succs_map[pred].append(name)
+    # Predecessors still pending, per operation: ready means zero.
+    waiting = {name: len(preds) for name, preds in preds_map.items()}
     class_keys: Dict[str, Optional[ClassKey]] = {}
+    delays: Dict[str, Tuple[Optional[ResourceVariant], float]] = {}
     usage: Dict[Tuple[int, ClassKey], int] = {}
     edge_order = latency.forward_edge_names
-    edge_step = {name: index for index, name in enumerate(edge_order)}
     mod_ii = pipeline_ii if pipeline_ii is not None and pipeline_ii >= 1 else None
 
     def class_key_of(name: str) -> Optional[ClassKey]:
         key = class_keys.get(name, _MISSING)
         if key is _MISSING:
-            key = resource_class_key(dfg.op(name), library)
+            key = resource_class_key(ops[name], library)
             class_keys[name] = key
         return key
 
-    for edge_name in edge_order:
-        step = edge_step[edge_name]
+    def delay_of(name: str, variant: Optional[ResourceVariant]) -> float:
+        cached = delays.get(name)
+        if cached is None or cached[0] is not variant:
+            cached = (variant, library.operation_delay(ops[name], variant))
+            delays[name] = cached
+        return cached[1]
+
+    for step, edge_name in enumerate(edge_order):
         slot_step = step % mod_ii if mod_ii is not None else step
-        # Drop already-scheduled names; membership filtering preserves the
-        # deterministic sorted order.
         pending_order = [n for n in pending_order if n in pending]
         # Spans only change in the post-edge hook, so which pending operations
-        # may sit on this edge is fixed for the whole edge — only readiness
-        # (predecessors leaving ``pending``) evolves between rounds.
-        span_of = spans.span
-        eligible: List[Tuple[str, SpanInfo]] = []
+        # may sit on this edge, and which of them are on their last chance,
+        # is fixed for the whole edge.
+        span_map = spans.all_spans()
+        eligible: Dict[str, int] = {}
+        last_chance_of: Dict[str, bool] = {}
         for name in pending_order:
-            info = span_of(name)
+            info = span_map[name]
             if edge_name in info.edges:
-                eligible.append((name, info))
-        progressed = bool(eligible)
-        while progressed:
-            progressed = False
-            ready: List[Tuple[str, SpanInfo]] = []
-            for name, info in eligible:
-                if name not in pending:
-                    continue
-                if any(p in pending for p in preds_map[name]):
-                    continue
-                ready.append((name, info))
-            # Operations on the last edge of their span must go first: deferring
-            # them is impossible, so they get priority over movable ones.
-            ready.sort(key=lambda item: (0 if item[1].late == edge_name else 1,
-                                         priority(item[0])))
-            for name, info in ready:
-                op = dfg.op(name)
+                eligible[name] = len(eligible)
+                last_chance_of[name] = info.late == edge_name
+        # Worklist rounds.  An operation is evaluated once per edge: within
+        # an edge its chained start is fixed (its predecessors are all
+        # scheduled) and ``usage`` only grows, so one that fails while not
+        # on its last chance fails again in every later round — and one
+        # that fails on its last chance ends the pass.  Round ``r + 1``
+        # therefore holds exactly the operations whose last pending
+        # predecessor was scheduled in round ``r``, and each operation's
+        # priority is computed once per edge.
+        ready = [name for name in eligible if waiting[name] == 0]
+        finish_on_edge: Dict[str, float] = {}
+        while ready:
+            # Operations on the last edge of their span must go first:
+            # deferring them is impossible, so they get priority over movable
+            # ones.  The eligible position last makes this the stable sort of
+            # the name-ordered ready list.
+            ready.sort(key=lambda name: (0 if last_chance_of[name] else 1,
+                                         priority(name), eligible[name]))
+            next_ready: List[str] = []
+            for name in ready:
+                op = ops[name]
                 variant = variant_map.get(name)
-                delay = _op_delay(op, library, variant)
+                delay = delay_of(name, variant)
                 start = 0.0
                 for pred in preds_map[name]:
-                    pred_item = schedule.get(pred)
-                    if (pred_item is not None and pred_item.edge == edge_name
-                            and pred_item.finish > start):
-                        start = pred_item.finish
+                    pred_finish = finish_on_edge.get(pred)
+                    if pred_finish is not None and pred_finish > start:
+                        start = pred_finish
                 finish = start + delay
                 fits_timing = finish <= budget + _EPS
-                last_chance = (edge_name == info.late)
+                last_chance = last_chance_of[name]
                 if (not fits_timing and last_chance and upgrade_on_last_chance
                         and variant is not None and op.is_synthesizable):
                     # Upgrade on the fly: take the cheapest grade that fits.
@@ -206,64 +213,37 @@ def try_list_schedule(
                 if fits_timing and fits_resource:
                     schedule.assign(name, edge_name, step, start, finish, variant)
                     pending.discard(name)
+                    finish_on_edge[name] = finish
                     if slot is not None:
                         usage[slot] = usage.get(slot, 0) + 1
-                    progressed = True
+                    for succ in succs_map[name]:
+                        waiting[succ] -= 1
+                        if waiting[succ] == 0 and succ in eligible:
+                            next_ready.append(succ)
                 elif last_chance:
-                    blocking_key = None
-                    if not fits_resource:
-                        reason, detail = "resource", (
-                            f"all {allocation.limit(key)} instance(s) of "
-                            f"{key[0]}/{key[1]} are busy in step {step}"
-                        )
-                    else:
-                        reason, detail = "timing", (
-                            f"chained start {start:.1f} ps + delay {delay:.1f} ps "
-                            f"exceeds the {budget:.1f} ps budget"
-                        )
-                        # Identify the chain driver: walk up the same-state
-                        # combinational chain to its head — the operation that
-                        # was deferred onto this state by resource scarcity —
-                        # and report its class so relaxation can add one.
-                        current = name
-                        while True:
-                            chain_pred = None
-                            latest_finish = -1.0
-                            for pred in preds_map.get(current, ()):
-                                pred_item = schedule.get(pred)
-                                if (pred_item is not None
-                                        and pred_item.edge == edge_name
-                                        and pred_item.finish > latest_finish):
-                                    latest_finish = pred_item.finish
-                                    chain_pred = pred
-                            if chain_pred is None:
-                                break
-                            current = chain_pred
-                        if current != name:
-                            blocking_key = resource_class_key(dfg.op(current),
-                                                              library)
                     return SchedulingAttempt(
                         success=False,
-                        failure=SchedulingFailure(op=name, edge=edge_name,
-                                                  reason=reason, class_key=key,
-                                                  blocking_class_key=blocking_key,
-                                                  detail=detail),
+                        failure=_failure(design, library, allocation, schedule,
+                                         preds_map, name, edge_name, step, key,
+                                         fits_resource, start, delay, budget),
                     )
+            ready = next_ready
         if post_edge_hook is not None and pending:
             update = post_edge_hook(edge_name, schedule, frozenset(pending))
             if update is not None:
                 new_spans, new_variants, new_priority = update
                 if new_spans is not None:
                     spans = new_spans
+                    span_map = spans.all_spans()
                 if new_variants is not None:
                     variant_map = new_variants
                 if new_priority is not None:
                     priority = new_priority
+                    span_map = spans.all_spans()
         # Any pending operation whose span ends here but never became ready
         # (its predecessors are stuck) is a hard failure.
-        span_of = spans.span
         for name in pending_order:
-            if name in pending and span_of(name).late == edge_name:
+            if name in pending and span_map[name].late == edge_name:
                 return SchedulingAttempt(
                     success=False,
                     failure=SchedulingFailure(
@@ -285,6 +265,46 @@ def try_list_schedule(
             ),
         )
     return SchedulingAttempt(success=True, schedule=schedule)
+
+
+def _failure(design, library, allocation, schedule, preds_map, name,
+             edge_name, step, key, fits_resource, start, delay,
+             budget) -> SchedulingFailure:
+    """The diagnostic of an operation that cannot go on its last edge."""
+    blocking_key = None
+    if not fits_resource:
+        reason, detail = "resource", (
+            f"all {allocation.limit(key)} instance(s) of "
+            f"{key[0]}/{key[1]} are busy in step {step}"
+        )
+    else:
+        reason, detail = "timing", (
+            f"chained start {start:.1f} ps + delay {delay:.1f} ps "
+            f"exceeds the {budget:.1f} ps budget"
+        )
+        # Identify the chain driver: walk up the same-state combinational
+        # chain to its head — the operation that was deferred onto this
+        # state by resource scarcity — and report its class so relaxation
+        # can add one.
+        current = name
+        while True:
+            chain_pred = None
+            latest_finish = -1.0
+            for pred in preds_map.get(current, ()):
+                pred_item = schedule.get(pred)
+                if (pred_item is not None
+                        and pred_item.edge == edge_name
+                        and pred_item.finish > latest_finish):
+                    latest_finish = pred_item.finish
+                    chain_pred = pred
+            if chain_pred is None:
+                break
+            current = chain_pred
+        if current != name:
+            blocking_key = resource_class_key(design.dfg.op(current), library)
+    return SchedulingFailure(op=name, edge=edge_name, reason=reason,
+                             class_key=key, blocking_class_key=blocking_key,
+                             detail=detail)
 
 
 def list_schedule(

@@ -151,3 +151,20 @@ def test_trace_out_with_unknown_command_still_fails(capsys, tmp_path):
     trace_path = tmp_path / "spans.jsonl"
     assert main(["frobnicate", "--trace-out", str(trace_path)]) == 2
     assert not trace_path.exists()
+
+
+def test_python_dash_m_repro_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-m", "repro", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: repro" in proc.stdout
