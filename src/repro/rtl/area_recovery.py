@@ -14,16 +14,21 @@ still meets the clock period.
 Two implementations of the same greedy policy live here:
 
 * :func:`recover_area` (the default) runs on the incremental timing engine
-  (:class:`repro.rtl.incremental_timing.IncrementalStateTiming`): each trial
-  downgrade recomputes only the states the instance participates in, every
+  (:class:`repro.rtl.incremental_timing.IncrementalStateTiming`): every
   *independent* downgrade is accepted within one round (instances are
   independent when they live in different connected components of the
   state-sharing graph), and trial failures are memoized — slacks only shrink
   as delays grow, so a failed (instance, grade) trial can never succeed
-  later.  Complexity drops from O(rounds * instances * states) to roughly
-  O(instances * touched-states).
+  later.  A trial evaluates only the instance's states and commits the rows
+  only if they meet the clock.  A candidate entry reads only its instance's
+  variant and its operations' slack, so entries are carried across rounds
+  and rescored only for accepted instances and the owners of operations
+  whose committed slack changed.  A round costs a sort of the carried
+  entries plus the touched states' kernel work per trial, instead of a
+  rescan of every instance's operations.
 * :func:`recover_area_reference` is the original one-accept-per-round loop
-  with a full :func:`analyze_state_timing` per trial.  It is kept as the
+  with a full :func:`analyze_state_timing` per trial and a fresh
+  :func:`_downgrade_candidates` scan per round.  Both are kept as the
   executable specification: the incremental pass must produce identical
   downgrades, areas and timing (asserted in the test suite and guarded by
   the golden-metrics benchmark check).
@@ -43,9 +48,11 @@ two survives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lib.resource import ResourceVariant
+from repro.bind.binding import FUInstance
+from repro.ir.operations import OpKind
+from repro.lib.resource import ResourceClass, ResourceVariant
 from repro.rtl.datapath import Datapath
 from repro.rtl.incremental_timing import IncrementalStateTiming
 from repro.rtl.timing import StateTimingReport, analyze_state_timing
@@ -67,6 +74,35 @@ class AreaRecoveryResult:
         return self.area_before - self.area_after
 
 
+def _candidate(
+    instance: FUInstance,
+    resource_class: ResourceClass,
+    op_slack: Dict[str, float],
+) -> Optional[Tuple[float, str, ResourceVariant]]:
+    """One instance's profitable, slack-covered one-grade downgrade, if any.
+    Reads only the instance's variant and its operations' slack."""
+    slower = resource_class.next_slower(instance.variant)
+    if slower is None:
+        return None
+    saving = instance.variant.area - slower.area
+    if saving <= _EPS:
+        return None
+    delay_increase = slower.delay - instance.variant.delay
+    worst_op_slack = min(op_slack.get(op, 0.0) for op in instance.ops)
+    if delay_increase > worst_op_slack + _EPS:
+        return None
+    return saving, instance.name, slower
+
+
+def _by_saving(item: Tuple[float, str, ResourceVariant]) -> Tuple[float, str]:
+    return -item[0], item[1]
+
+
+def _resource_class(datapath: Datapath, instance: FUInstance) -> ResourceClass:
+    kind_value, width = instance.class_key
+    return datapath.library.class_for(OpKind(kind_value), width)
+
+
 def _downgrade_candidates(
     datapath: Datapath,
     timing: StateTimingReport,
@@ -79,28 +115,15 @@ def _downgrade_candidates(
     would rest on nothing.  (Complete bindings never produce such instances;
     the guard protects hand-built ones.)
     """
-    library = datapath.library
-    candidates: List[Tuple[float, str, ResourceVariant]] = []
+    candidates = []
     for instance in datapath.binding.instances:
         if not instance.ops:
             continue
-        resource_class = library.class_for(
-            _kind_from_key(instance.class_key[0]), instance.class_key[1]
-        )
-        slower = resource_class.next_slower(instance.variant)
-        if slower is None:
-            continue
-        saving = instance.variant.area - slower.area
-        if saving <= _EPS:
-            continue
-        delay_increase = slower.delay - instance.variant.delay
-        worst_op_slack = min(
-            timing.op_slack.get(op, 0.0) for op in instance.ops
-        )
-        if delay_increase > worst_op_slack + _EPS:
-            continue
-        candidates.append((saving, instance.name, slower))
-    candidates.sort(key=lambda item: (-item[0], item[1]))
+        entry = _candidate(instance, _resource_class(datapath, instance),
+                           timing.op_slack)
+        if entry is not None:
+            candidates.append(entry)
+    candidates.sort(key=_by_saving)
     return candidates
 
 
@@ -153,36 +176,47 @@ def recover_area(datapath: Datapath, register_margin: float = 0.0,
 
     analyzer = IncrementalStateTiming(datapath, register_margin=register_margin)
     if analyzer.report.meets_timing():
+        op_slack = analyzer.report.op_slack
+        limit = analyzer.report.clock_period + _EPS
         components = _instance_components(datapath)
+        facts = {i.name: (i, _resource_class(datapath, i))
+                 for i in datapath.binding.instances if i.ops}
+        owners: Dict[str, List[str]] = {}
+        for name, (instance, _) in facts.items():
+            for op in instance.ops:
+                owners.setdefault(op, []).append(name)
+        entries = {name: _candidate(*fact, op_slack)
+                   for name, fact in facts.items()}
         failed_trials: Set[Tuple[str, str]] = set()
         for _ in range(max_rounds):
-            candidates = _downgrade_candidates(datapath, analyzer.report)
+            candidates = sorted(filter(None, entries.values()), key=_by_saving)
             touched: Set[int] = set()
-            accepted_any = False
+            dirty: Set[str] = set()
             for saving, instance_name, slower in candidates:
                 component = components[instance_name]
                 if component in touched:
                     continue  # interacts with an acceptance of this round
                 if (instance_name, slower.name) in failed_trials:
                     continue  # slack only shrinks; the trial cannot pass now
-                instance = datapath.binding.instance_by_name(instance_name)
-                edges = analyzer.instance_edges(instance_name)
-                saved = analyzer.snapshot(edges)
+                instance = facts[instance_name][0]
                 previous = instance.variant
                 instance.variant = slower
-                analyzer.recompute_edges(edges)
-                if analyzer.edges_meet_timing(edges):
+                rows = analyzer.evaluate(datapath.instance_edges(instance_name))
+                if all(row[3] <= limit for row in rows.values()):
                     downgrades += 1
                     if instance_name not in changed:
                         changed.append(instance_name)
                     touched.add(component)
-                    accepted_any = True
+                    dirty.add(instance_name)
+                    for op in analyzer.commit(rows):
+                        dirty.update(owners.get(op, ()))
                 else:
                     instance.variant = previous
-                    analyzer.restore(saved)
                     failed_trials.add((instance_name, slower.name))
-            if not accepted_any:
+            if not touched:
                 break
+            for name in dirty:
+                entries[name] = _candidate(*facts[name], op_slack)
 
     return AreaRecoveryResult(
         downgrades=downgrades,
@@ -234,9 +268,3 @@ def recover_area_reference(datapath: Datapath, register_margin: float = 0.0,
         area_after=datapath.binding.total_fu_area(),
         changed_instances=changed,
     )
-
-
-def _kind_from_key(kind_value: str):
-    from repro.ir.operations import OpKind
-
-    return OpKind(kind_value)

@@ -6,20 +6,20 @@ downgrade of one functional-unit instance only changes the delays of the
 operations bound to that instance, and combinational chains never cross a
 state boundary, so only the states the instance participates in can change.
 :class:`IncrementalStateTiming` exploits that: it holds a cached
-:class:`~repro.rtl.timing.StateTimingReport` and, when one instance changes
-variant, re-runs the shared interned per-state kernel
-(:class:`repro.rtl.timing.StateTimingKernel`) over exactly those states —
-looked up via the :meth:`repro.rtl.datapath.Datapath.instance_edges` index —
-and splices the fresh values into the report.
+:class:`~repro.rtl.timing.StateTimingReport` and re-runs the shared interned
+per-state kernel (:class:`repro.rtl.timing.StateTimingKernel`) over exactly
+those states — looked up via the
+:meth:`repro.rtl.datapath.Datapath.instance_edges` index.
+
+:meth:`~IncrementalStateTiming.evaluate` returns fresh rows of some states
+without touching the report and :meth:`~IncrementalStateTiming.commit`
+splices rows in, so a trial commits only on success and a rejected trial
+leaves nothing to revert.
 
 Because the full analysis and the patch path execute the same kernel (same
 float operations, same order) over per-state op lists that are disjoint
 between states, a patched report is *bit-for-bit equal* to a full recompute
 — asserted against :func:`analyze_state_timing` in the test suite.
-
-Trial changes are supported cheaply: :meth:`snapshot` captures the report
-rows of a set of states before a patch and :meth:`restore` splices them back
-when the trial is rejected, avoiding a second recompute on the revert path.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 from repro.rtl.datapath import Datapath
 from repro.rtl.timing import StateTimingKernel, StateTimingReport
 
-_EPS = 1e-6
-
-#: The cached rows of one state: (op_start, op_finish, op_slack, critical).
-StateSnapshot = Tuple[Dict[str, float], Dict[str, float], Dict[str, float], float]
+#: edge -> (op_start, op_finish, op_slack, critical_path), per kernel state.
+StateRows = Dict[str, Tuple[Dict[str, float], Dict[str, float],
+                            Dict[str, float], float]]
 
 
 class IncrementalStateTiming:
@@ -44,8 +43,8 @@ class IncrementalStateTiming:
         The datapath to analyse.  The schedule and the binding structure
         (which operations live on which instance) must not change for the
         lifetime of this object; instance *variants* may change freely as
-        long as every change is reported via :meth:`patch_instance` (or the
-        affected edges are re-synced via :meth:`recompute_edges`).
+        long as every committed change is reported via :meth:`patch_instance`
+        (or the affected edges are re-synced via :meth:`recompute_edges`).
     register_margin:
         Same meaning as in :func:`analyze_state_timing`.
     """
@@ -56,25 +55,37 @@ class IncrementalStateTiming:
         self._kernel = StateTimingKernel(datapath, register_margin)
         self.report: StateTimingReport = self._kernel.full_report()
 
-    # -- patching ----------------------------------------------------------------
-
-    def _ops_of(self, edge: str) -> List[str]:
-        return self._kernel.ops_of(edge)
-
     def instance_edges(self, instance_name: str) -> FrozenSet[str]:
         """The states a variant change of ``instance_name`` can affect."""
         return self.datapath.instance_edges(instance_name)
 
-    def recompute_edges(self, edges: Iterable[str]) -> None:
-        """Re-run the per-state kernel over ``edges`` and patch the report."""
+    def evaluate(self, edges: Iterable[str]) -> StateRows:
+        """Fresh rows of ``edges`` under the current variants.
+
+        The report is left untouched.  Unknown edges raise
+        :class:`~repro.errors.TimingError`.
+        """
+        state = self._kernel.state
+        return {edge: state(edge) for edge in edges}
+
+    def commit(self, rows: StateRows) -> List[str]:
+        """Splice ``rows`` into the report; returns the operations whose
+        slack changed (float ``!=``)."""
         report = self.report
-        kernel = self._kernel
-        for edge in edges:
-            starts, finishes, slacks, critical = kernel.state(edge)
+        op_slack = report.op_slack
+        changed: List[str] = []
+        for edge, (starts, finishes, slacks, critical) in rows.items():
+            changed.extend(op for op, slack in slacks.items()
+                           if op_slack[op] != slack)
             report.op_start.update(starts)
             report.op_finish.update(finishes)
-            report.op_slack.update(slacks)
+            op_slack.update(slacks)
             report.state_critical_path[edge] = critical
+        return changed
+
+    def recompute_edges(self, edges: Iterable[str]) -> None:
+        """Re-run the per-state kernel over ``edges`` and patch the report."""
+        self.commit(self.evaluate(edges))
 
     def patch_instance(self, instance_name: str) -> FrozenSet[str]:
         """Resync the report after ``instance_name`` changed variant.
@@ -84,46 +95,3 @@ class IncrementalStateTiming:
         edges = self.instance_edges(instance_name)
         self.recompute_edges(edges)
         return edges
-
-    # -- trial support ------------------------------------------------------------
-
-    def snapshot(self, edges: Iterable[str]) -> Dict[str, StateSnapshot]:
-        """Capture the report rows of ``edges`` so a trial can be reverted.
-
-        Unknown edges raise :class:`TimingError`, exactly like
-        :meth:`recompute_edges` — a silently empty snapshot would let a later
-        :meth:`restore` splice spurious rows into the report.
-        """
-        report = self.report
-        saved: Dict[str, StateSnapshot] = {}
-        for edge in edges:
-            edge_ops = self._ops_of(edge)
-            saved[edge] = (
-                {op: report.op_start[op] for op in edge_ops},
-                {op: report.op_finish[op] for op in edge_ops},
-                {op: report.op_slack[op] for op in edge_ops},
-                report.state_critical_path[edge],
-            )
-        return saved
-
-    def restore(self, saved: Dict[str, StateSnapshot]) -> None:
-        """Splice rows captured by :meth:`snapshot` back into the report."""
-        report = self.report
-        for edge, (starts, finishes, slacks, critical) in saved.items():
-            report.op_start.update(starts)
-            report.op_finish.update(finishes)
-            report.op_slack.update(slacks)
-            report.state_critical_path[edge] = critical
-
-    # -- queries -------------------------------------------------------------------
-
-    def edges_meet_timing(self, edges: Iterable[str], margin: float = 0.0) -> bool:
-        """True when every state in ``edges`` fits the clock period.
-
-        When the report met timing globally before a patch confined to
-        ``edges``, this is equivalent to (and much cheaper than) a global
-        :meth:`StateTimingReport.meets_timing` check.
-        """
-        limit = self.report.clock_period + abs(margin) + _EPS
-        critical = self.report.state_critical_path
-        return all(critical.get(edge, 0.0) <= limit for edge in edges)

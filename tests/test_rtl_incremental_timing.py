@@ -70,27 +70,54 @@ def test_patched_report_equals_full_recompute_exactly(small_idct, library, seed)
         _assert_reports_identical(analyzer.report, analyze_state_timing(datapath))
 
 
-def test_snapshot_restore_reverts_a_trial_exactly(small_fir, library):
+def test_rejected_trial_leaves_the_report_untouched(small_fir, library):
+    """evaluate() must not touch the report: a trial that is not committed
+    needs only its variant reverted."""
     datapath = _fresh_datapath(small_fir, library, 1500.0)
     analyzer = IncrementalStateTiming(datapath)
     before = analyze_state_timing(datapath)
     instance = next(i for i in datapath.binding.instances if i.ops)
     edges = analyzer.instance_edges(instance.name)
-    saved = analyzer.snapshot(edges)
     original = instance.variant
     slower = _resource_class(datapath, instance).next_slower(original)
     if slower is None:
         pytest.skip("no slower grade available for the chosen instance")
     instance.variant = slower
-    analyzer.recompute_edges(edges)
+    rows = analyzer.evaluate(edges)
+    assert set(rows) == set(edges)
+    _assert_reports_identical(analyzer.report, before)
     instance.variant = original
-    analyzer.restore(saved)
     _assert_reports_identical(analyzer.report, before)
 
 
+def test_committed_rows_equal_full_recompute(small_fir, library):
+    """commit(evaluate(...)) patches exactly like a full recompute, and
+    reports precisely the operations whose slack changed."""
+    datapath = _fresh_datapath(small_fir, library, 1500.0)
+    analyzer = IncrementalStateTiming(datapath)
+    before = analyze_state_timing(datapath)
+    instance = next(i for i in datapath.binding.instances if i.ops)
+    slower = _resource_class(datapath, instance).next_slower(instance.variant)
+    if slower is None:
+        pytest.skip("no slower grade available for the chosen instance")
+    instance.variant = slower
+    rows = analyzer.evaluate(analyzer.instance_edges(instance.name))
+    after = analyze_state_timing(datapath)
+    for edge, (starts, finishes, slacks, critical) in rows.items():
+        assert critical == after.state_critical_path[edge]
+        assert slacks == {op: after.op_slack[op] for op in slacks}
+        assert starts == {op: after.op_start[op] for op in starts}
+        assert finishes == {op: after.op_finish[op] for op in finishes}
+    changed = analyzer.commit(rows)
+    _assert_reports_identical(analyzer.report, after)
+    assert changed
+    assert sorted(changed) == sorted(
+        op for op in after.op_slack if after.op_slack[op] != before.op_slack[op])
+
+
 def test_unknown_edges_are_rejected_consistently(small_fir, library):
-    """snapshot() and recompute_edges() must agree on bad input: a silently
-    empty snapshot would let restore() corrupt the cached report."""
+    """evaluate() and recompute_edges() must agree on bad input: an unknown
+    edge must not silently pass a trial's timing check."""
     from repro.errors import TimingError
 
     datapath = _fresh_datapath(small_fir, library, 1500.0)
@@ -98,7 +125,7 @@ def test_unknown_edges_are_rejected_consistently(small_fir, library):
     with pytest.raises(TimingError):
         analyzer.recompute_edges(["no_such_edge"])
     with pytest.raises(TimingError):
-        analyzer.snapshot(["no_such_edge"])
+        analyzer.evaluate(["no_such_edge"])
 
 
 def test_instance_edges_index_matches_schedule(small_idct, library):
