@@ -6,7 +6,10 @@ Two contracts from the ``repro.obs`` design, both pinned here:
   read and one identity test per instrumented call site.  The untraced
   benchmark enters the perf-regression gate (``check_timings.py``), so an
   instrumentation site that starts allocating or reading clocks on the
-  disabled path fails CI as a perf regression.
+  disabled path fails CI as a perf regression.  Both benchmarks start
+  their round from :func:`~repro.obs.metrics.clear_caches`, so the pair
+  compares two cold sweeps on equal cache state rather than a cold one
+  against a warm one.
 * **observation only** — with tracing *enabled*, every per-point metrics
   dict must stay byte-identical to the committed golden Table-4 file: span
   recording may cost time but must never change a result.  The traced
@@ -22,6 +25,7 @@ import pytest
 
 from conftest import idct_rows
 from repro.flows import SweepSession, idct_design_points
+from repro.obs.metrics import clear_caches
 from repro.obs.profile import aggregate_spans, phase_totals
 from repro.obs.trace import is_enabled, tracing
 from repro.workloads import IDCTPointFactory
@@ -40,7 +44,7 @@ def test_sweep_tracing_disabled(benchmark, library):
     """Untraced sweep on the no-op fast path, gated against the baseline."""
     assert not is_enabled()
     result = benchmark.pedantic(lambda: _table4_sweep(library),
-                                rounds=1, iterations=1)
+                                setup=clear_caches, rounds=1, iterations=1)
     assert len(result.entries) == 15
 
 
@@ -52,7 +56,8 @@ def test_sweep_tracing_enabled_matches_golden(benchmark, library):
             result = _table4_sweep(library)
         return result, tracer
 
-    result, tracer = benchmark.pedantic(traced_sweep, rounds=1, iterations=1)
+    result, tracer = benchmark.pedantic(traced_sweep, setup=clear_caches,
+                                        rounds=1, iterations=1)
     roots = tracer.roots
     assert roots, "tracing was enabled but recorded no spans"
     traced_seconds = sum(root.duration for root in roots)

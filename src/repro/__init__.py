@@ -106,6 +106,7 @@ _PUBLIC_API = {
     "Tracer": "repro.obs.trace",
     "tracing": "repro.obs.trace",
     "cache_stats": "repro.obs.metrics",
+    "clear_caches": "repro.obs.metrics",
     "profile_report": "repro.obs.profile",
 }
 

@@ -37,28 +37,31 @@ is detected and re-hashed, but in-place edits that keep every node/edge
 count unchanged are not — run the IR transforms before handing a design to
 a flow and avoid such edits afterwards.
 
-Memory: each table is a bounded LRU; :meth:`AnalysisCache.cache_info`
-exposes hits/misses/evictions and :meth:`AnalysisCache.clear` empties all
-tables, the structures included.  A cached pinned timed DFG borrows its
-structure's lists (copy on write), so the per-entry cost is two weight
-layouts rather than a whole graph.  The module-level :func:`default_cache` instance is shared by the
-flows and the engine within one process (each process-pool worker gets its
-own copy, which is what lets a worker amortize analyses across the points it
-evaluates).
+Memory: each table is a bounded :class:`~repro.obs.metrics.LRUTable`;
+:meth:`AnalysisCache.cache_info` exposes hits/misses/evictions and
+:meth:`AnalysisCache.clear` empties all tables, the structures included.  A
+cached pinned timed DFG borrows its structure's lists (copy on write), so
+the per-entry cost is two weight layouts rather than a whole graph.  The
+module-level :func:`default_cache` instance is shared by the flows and the
+engine within one process (each process-pool worker gets its own copy,
+which is what lets a worker amortize analyses across the points it
+evaluates).  Its tables are registered in :mod:`repro.obs.metrics`, so
+:func:`~repro.obs.metrics.cache_stats` reports them and
+:func:`~repro.obs.metrics.clear_caches` empties them with every other
+process-wide memo table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import threading
-from collections import OrderedDict
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.core.sequential_slack import TimingResult, compute_sequential_slack
 from repro.core.timed_dfg import TimedDFG, TimedStructure
+from repro.obs.metrics import LRUTable, register_table
 
 _FINGERPRINT_ATTR = "_repro_structural_fingerprint"
 _TOKEN_ATTR = "_repro_cache_token"
@@ -115,51 +118,6 @@ def _object_token(obj) -> int:
     return token
 
 
-class _LRUTable:
-    """A small thread-safe LRU memo table with hit/miss/eviction counters."""
-
-    def __init__(self, name: str, maxsize: int):
-        self.name = name
-        self.maxsize = maxsize
-        self._data: "OrderedDict" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_build(self, key, build: Callable[[], object]):
-        with self._lock:
-            if key in self._data:
-                self.hits += 1
-                self._data.move_to_end(key)
-                return self._data[key]
-            self.misses += 1
-        # Build outside the lock: concurrent misses may duplicate work but
-        # every build is pure, so whichever result lands last is identical.
-        value = build()
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-        return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def info(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-            }
-
-
 class AnalysisCache:
     """Keyed caches for point artifacts, pinned spans/timed DFGs and slack.
 
@@ -175,15 +133,12 @@ class AnalysisCache:
 
     def __init__(self, max_artifacts: int = 64, max_spans: int = 4096,
                  max_slack: int = 4096):
-        self._artifacts = _LRUTable("artifacts", max_artifacts)
-        self._structures = _LRUTable("timed_structures", max_artifacts)
-        self._spans = _LRUTable("spans", max_spans)
-        self._slack = _LRUTable("sequential_slack", max_slack)
+        self._artifacts = LRUTable("artifacts", max_artifacts)
+        self._structures = LRUTable("timed_structures", max_artifacts)
+        self._spans = LRUTable("spans", max_spans)
+        self._slack = LRUTable("sequential_slack", max_slack)
         self._tables = (self._artifacts, self._structures, self._spans,
                         self._slack)
-        self._delta_lock = threading.Lock()
-        self.delta_evaluators = 0
-        self.delta_updates = 0
 
     # -- point artifacts -----------------------------------------------------------
 
@@ -257,17 +212,6 @@ class AnalysisCache:
             lambda: compute_sequential_slack(timed, delays, clock_period,
                                              aligned=aligned))
 
-    # -- delta-slack stats ---------------------------------------------------------
-
-    def record_delta(self, updates: int) -> None:
-        """Record one :class:`~repro.core.delta_slack.DeltaSlackEvaluator`
-        run and how many incremental updates it absorbed (each of which
-        replaced a full slack recomputation).  Feeds the sweep-session stats.
-        """
-        with self._delta_lock:
-            self.delta_evaluators += 1
-            self.delta_updates += updates
-
     # -- management ----------------------------------------------------------------
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
@@ -281,6 +225,8 @@ class AnalysisCache:
 
 
 _default_cache = AnalysisCache()
+for _table in _default_cache._tables:
+    register_table(_table, section="analysis_cache")
 
 
 def default_cache() -> AnalysisCache:

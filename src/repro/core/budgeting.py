@@ -24,8 +24,6 @@ resource selection) and by the stand-alone feasibility check of Prop. 1.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -36,11 +34,16 @@ from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
 from repro.core.delta_slack import CyclicSlackEvaluator, DeltaSlackEvaluator
 from repro.core.latency import LatencyAnalysis
+from repro.obs.metrics import LRUTable, register_table
 from repro.obs.metrics import counter as _obs_counter
 
-#: Budgeting telemetry (observation only; see repro.obs).
+#: Budgeting telemetry (observation only; see repro.obs): runs, iterations,
+#: and the delta-slack evaluators with the incremental updates they absorbed
+#: (one evaluator per run; the sweep-session stats diff the last two).
 _BUDGET_RUNS = _obs_counter("budgeting.runs")
 _BUDGET_ITERATIONS = _obs_counter("budgeting.iterations")
+_DELTA_EVALUATORS = _obs_counter("analysis_cache.delta_evaluators")
+_DELTA_UPDATES = _obs_counter("analysis_cache.delta_updates")
 from repro.core.opspan import OperationSpans
 from repro.core.sequential_slack import TimingResult
 from repro.core.timed_dfg import TimedDFG, build_timed_dfg
@@ -176,11 +179,8 @@ class _BudgetTemplate:
         return variant.delay
 
 
-_TEMPLATE_LOCK = threading.Lock()
-_TEMPLATES: "OrderedDict" = OrderedDict()
-_MAX_TEMPLATES = 128
-_template_hits = 0
-_template_misses = 0
+_TEMPLATES = register_table(LRUTable("budget_templates", 128),
+                            section="analysis_cache")
 
 
 def _budget_template(design: Design, library: Library) -> _BudgetTemplate:
@@ -190,31 +190,11 @@ def _budget_template(design: Design, library: Library) -> _BudgetTemplate:
     as structurally immutable after first analysis (the same contract the
     analysis cache and ``TimedDFG.compact`` already rely on).
     """
-    global _template_hits, _template_misses
     from repro.core.analysis_cache import _object_token
 
     key = (_object_token(design), _object_token(library))
-    with _TEMPLATE_LOCK:
-        template = _TEMPLATES.get(key)
-        if template is not None:
-            _TEMPLATES.move_to_end(key)
-            _template_hits += 1
-            return template
-        _template_misses += 1
-    template = _BudgetTemplate(design, library)
-    with _TEMPLATE_LOCK:
-        _TEMPLATES[key] = template
-        _TEMPLATES.move_to_end(key)
-        while len(_TEMPLATES) > _MAX_TEMPLATES:
-            _TEMPLATES.popitem(last=False)
-    return template
-
-
-def budget_template_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the budgeting template LRU."""
-    with _TEMPLATE_LOCK:
-        return {"hits": _template_hits, "misses": _template_misses,
-                "size": len(_TEMPLATES), "maxsize": _MAX_TEMPLATES}
+    return _TEMPLATES.get_or_build(
+        key, lambda: _BudgetTemplate(design, library))
 
 
 class _BudgetState:
@@ -283,7 +263,6 @@ def budget_slack(
     pinned_variants: Optional[Mapping[str, ResourceVariant]] = None,
     start_from: str = "slowest",
     max_iterations: Optional[int] = None,
-    cache=None,
 ) -> BudgetingResult:
     """Run the slack-budgeting algorithm of Fig. 7 on ``design``.
 
@@ -307,20 +286,9 @@ def budget_slack(
         operations without a warm start.
     max_iterations:
         Safety bound; defaults to ``20 * num_ops * max_grades``.
-    cache:
-        Optional :class:`repro.core.analysis_cache.AnalysisCache` (default:
-        the process-wide cache).  The slack recomputations themselves now
-        run on an in-call :class:`repro.core.delta_slack.DeltaSlackEvaluator`
-        — one full kernel pass, then single-delay incremental updates — so
-        the cache only collects the delta-evaluation counters that the
-        sweep-session stats report.
     """
     if clock_period <= 0:
         raise TimingError("clock period must be positive")
-    if cache is None:
-        from repro.core.analysis_cache import default_cache
-
-        cache = default_cache()
     latency = latency or LatencyAnalysis(design.cfg)
     spans = spans or OperationSpans(design, latency=latency)
     timed = timed or build_timed_dfg(design, spans=spans, latency=latency)
@@ -447,9 +415,10 @@ def budget_slack(
             break
 
     timing = evaluator.export()
-    cache.record_delta(evaluator.updates)
     _BUDGET_RUNS.inc()
     _BUDGET_ITERATIONS.inc(iterations)
+    _DELTA_EVALUATORS.inc()
+    _DELTA_UPDATES.inc(evaluator.updates)
 
     return BudgetingResult(
         clock_period=clock_period,

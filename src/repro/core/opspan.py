@@ -34,8 +34,6 @@ verbatim (see ``tests/test_table3_closed_forms.py``).  Early edges —
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -43,6 +41,7 @@ from repro.errors import TimingError
 from repro.ir.design import Design
 from repro.ir.operations import OpKind
 from repro.core.latency import LatencyAnalysis
+from repro.obs.metrics import LRUTable, register_table
 
 _MISSING = object()
 
@@ -90,14 +89,12 @@ class _SpanTemplate:
     :data:`_MAX_SPAN_MEMO` entries all three are emptied.
     """
 
-    __slots__ = ("shape", "order", "records", "nofloor",
+    __slots__ = ("order", "records", "nofloor",
                  "early_memo", "late_memo", "info_memo")
 
     def __init__(self, design: Design, latency: LatencyAnalysis):
         dfg = design.dfg
         cfg = design.cfg
-        self.shape = (cfg.num_nodes, cfg.num_edges,
-                      dfg.num_operations, dfg.num_edges)
         self.order: List[str] = dfg.topological_order()
         # name -> (birth, early_fixed, late_fixed, pred_names, succ_names,
         #          succ_fixedness)
@@ -145,58 +142,38 @@ class _SpanTemplate:
             self.info_memo.clear()
 
 
-_SPAN_TEMPLATE_LOCK = threading.Lock()
-_SPAN_TEMPLATES: "OrderedDict" = OrderedDict()
-_MAX_SPAN_TEMPLATES = 128
 #: Bound on the rule-memo entries of one template (all three memos).
 _MAX_SPAN_MEMO = 32768
-_span_template_hits = 0
-_span_template_misses = 0
+
+
+def _memo_summary(templates) -> Dict[str, int]:
+    return {"memo_entries": sum(template.memo_entries()
+                                for template in templates),
+            "memo_maxsize": _MAX_SPAN_MEMO}
+
+
+_SPAN_TEMPLATES = register_table(
+    LRUTable("span_templates", 128, summarize=_memo_summary),
+    section="analysis_cache")
 
 
 def _span_template(design: Design, latency: LatencyAnalysis) -> _SpanTemplate:
     """The interned :class:`_SpanTemplate` of ``(design, latency)``.
 
-    Keyed by object identity tokens with an O(1) shape guard (same contract
-    as :func:`repro.core.analysis_cache.design_fingerprint`): structural
-    growth or shrinkage after first use is detected and re-interned, but
-    count-preserving in-place edits are not — run IR transforms before
-    handing a design to the analyses.
+    Keyed by object identity tokens plus the design's node/edge counts (the
+    same O(1) shape guard as
+    :func:`repro.core.analysis_cache.design_fingerprint`): structural growth
+    or shrinkage after first use is a new key, but count-preserving in-place
+    edits are not — run IR transforms before handing a design to the
+    analyses.
     """
-    global _span_template_hits, _span_template_misses
     from repro.core.analysis_cache import _object_token
 
-    key = (_object_token(design), _object_token(latency))
-    shape = (design.cfg.num_nodes, design.cfg.num_edges,
-             design.dfg.num_operations, design.dfg.num_edges)
-    with _SPAN_TEMPLATE_LOCK:
-        template = _SPAN_TEMPLATES.get(key)
-        if template is not None and template.shape == shape:
-            _SPAN_TEMPLATES.move_to_end(key)
-            _span_template_hits += 1
-            return template
-        _span_template_misses += 1
-    template = _SpanTemplate(design, latency)
-    with _SPAN_TEMPLATE_LOCK:
-        _SPAN_TEMPLATES[key] = template
-        _SPAN_TEMPLATES.move_to_end(key)
-        while len(_SPAN_TEMPLATES) > _MAX_SPAN_TEMPLATES:
-            _SPAN_TEMPLATES.popitem(last=False)
-    return template
-
-
-def span_template_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the template LRU and its rule memos."""
-    with _SPAN_TEMPLATE_LOCK:
-        return {
-            "hits": _span_template_hits,
-            "misses": _span_template_misses,
-            "size": len(_SPAN_TEMPLATES),
-            "maxsize": _MAX_SPAN_TEMPLATES,
-            "memo_entries": sum(template.memo_entries()
-                                for template in _SPAN_TEMPLATES.values()),
-            "memo_maxsize": _MAX_SPAN_MEMO,
-        }
+    key = (_object_token(design), _object_token(latency),
+           design.cfg.num_nodes, design.cfg.num_edges,
+           design.dfg.num_operations, design.dfg.num_edges)
+    return _SPAN_TEMPLATES.get_or_build(
+        key, lambda: _SpanTemplate(design, latency))
 
 
 class OperationSpans:

@@ -119,7 +119,6 @@ class SlackScheduler:
             self.design, self.library, self.clock_period,
             margin_fraction=self.margin_fraction,
             spans=self._spans, latency=self._latency, timed=self._timed,
-            cache=self._cache,
         )
         variants: Dict[str, Optional[ResourceVariant]] = dict(initial_budget.variants)
         allocation = minimal_allocation(self.design, self.library, spans=self._spans,
@@ -235,7 +234,6 @@ class SlackScheduler:
                     initial_variants={k: v for k, v in working.items()
                                       if v is not None and k in pending},
                     pinned_variants=pinned_variants,
-                    cache=self._cache,
                 )
             except TimingError:
                 # A pending operation has no legal edge left; let the main

@@ -347,7 +347,11 @@ class DSEEngine:
         return signature
 
     def _load_checkpoint(self) -> Dict[str, Dict[str, object]]:
-        """Per-point records of a matching checkpoint, else empty."""
+        """Per-point records of a matching checkpoint, else empty.
+
+        A checkpoint that is not a JSON object, and any point record that is
+        not one, holds no usable record: those points are evaluated afresh.
+        """
         if not self.checkpoint_path or not os.path.exists(self.checkpoint_path):
             return {}
         try:
@@ -355,11 +359,15 @@ class DSEEngine:
                 data = json.load(handle)
         except (OSError, ValueError):
             return {}
-        if (data.get("version") != CHECKPOINT_VERSION
+        if (not isinstance(data, dict)
+                or data.get("version") != CHECKPOINT_VERSION
                 or data.get("signature") != self._sweep_signature()):
             return {}
         records = data.get("points", {})
-        return records if isinstance(records, dict) else {}
+        if not isinstance(records, dict):
+            return {}
+        return {name: record for name, record in records.items()
+                if isinstance(record, dict)}
 
     def _write_checkpoint(self, records: Dict[str, Dict[str, object]]) -> None:
         if not self.checkpoint_path:

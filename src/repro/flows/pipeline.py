@@ -29,8 +29,10 @@ this sound:
   and therefore a new bundle.  The corollary is that designs must not be
   mutated structurally after first use — run the IR transforms
   (:mod:`repro.ir.transforms`) *before* handing a design to a flow.  Use
-  ``default_cache().clear()`` to drop every bundle (e.g. between unrelated
-  sweeps in a long-lived process).
+  :func:`repro.obs.metrics.clear_caches` to drop every bundle together
+  with every other process-wide memo table (budgeting and span templates,
+  library characterisation) — between unrelated sweeps in a long-lived
+  process, or to measure a cold run; hit/miss counters are kept.
 * **Mutable state stays out.** Schedules, bindings and datapaths are built
   per flow run and are never cached here; area recovery mutates instance
   variants on the per-run datapath only.

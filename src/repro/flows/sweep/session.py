@@ -64,6 +64,9 @@ _POINTS = _obs_counter("sweep.points_evaluated")
 _FULL = _obs_counter("sweep.full_evaluations")
 _DELTA = _obs_counter("sweep.delta_points")
 _INTERNED = _obs_counter("sweep.interned_reuses")
+#: Delta-slack evaluations counted by the budgeting kernel, diffed per session.
+_DELTA_EVALUATORS = _obs_counter("analysis_cache.delta_evaluators")
+_DELTA_UPDATES = _obs_counter("analysis_cache.delta_updates")
 
 
 @dataclass
@@ -74,10 +77,11 @@ class SweepStats:
     session (the fallback path: nothing to delta against).
     ``delta_points`` counts points that shared a previously seen structure
     and therefore rode the interned designs, shared bundles and warm
-    delta-evaluation caches.  ``delta_evaluators``/``delta_updates`` mirror
-    the :class:`~repro.core.analysis_cache.AnalysisCache` delta counters
-    accumulated while this session ran (incremental slack re-evaluations
-    inside the budgeting kernel, and how many node updates they needed).
+    delta-evaluation caches.  ``delta_evaluators``/``delta_updates`` are the
+    growth of the ``analysis_cache.delta_evaluators``/``delta_updates``
+    registry counters while this session ran (incremental slack
+    re-evaluations inside the budgeting kernel, and how many node updates
+    they needed).
     """
 
     points_evaluated: int = 0
@@ -161,14 +165,11 @@ class SweepSession:
         self._designs: Dict[Tuple[str, str, Optional[int]], Design] = {}
         self._structures: set = set()
         self._bundles: Dict[str, PointArtifacts] = {}
-        # The slack scheduler's budgeting kernel records its incremental
-        # re-evaluations on the process-wide cache (the flows do not thread
-        # a cache handle down), so the session's delta counters snapshot
-        # that one — exact for single-threaded sweeps, which is what a
-        # session is (see the class docstring).
-        self._delta_cache = default_cache()
-        self._delta_base = (self._delta_cache.delta_evaluators,
-                            self._delta_cache.delta_updates)
+        # The budgeting kernel counts its incremental re-evaluations on
+        # process-wide counters, so the session's delta counters diff them —
+        # exact for single-threaded sweeps, which is what a session is (see
+        # the class docstring).
+        self._delta_base = (_DELTA_EVALUATORS.value, _DELTA_UPDATES.value)
 
     # -- interning ---------------------------------------------------------------
 
@@ -258,6 +259,5 @@ class SweepSession:
 
     def _refresh_delta_counters(self) -> None:
         base_evaluators, base_updates = self._delta_base
-        self.stats.delta_evaluators = \
-            self._delta_cache.delta_evaluators - base_evaluators
-        self.stats.delta_updates = self._delta_cache.delta_updates - base_updates
+        self.stats.delta_evaluators = _DELTA_EVALUATORS.value - base_evaluators
+        self.stats.delta_updates = _DELTA_UPDATES.value - base_updates

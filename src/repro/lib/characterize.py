@@ -29,33 +29,24 @@ published curves (most of the area is spent buying the last picoseconds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import LibraryError
 from repro.ir.operations import OpKind
 from repro.lib.resource import ResourceClass, ResourceVariant
+from repro.obs.metrics import LRUTable, register_table
 
 #: Memoized characterisation results.  Building a library characterises the
 #: same (kind, width, model) triples again and again across DSE sweeps and
 #: process-pool workers; classes are immutable after construction, so sharing
 #: one instance per key is safe and makes repeated characterisation free.
-_CLASS_CACHE: Dict[Tuple[OpKind, int, "KindModel", int, float, float],
-                   ResourceClass] = {}
-
-#: Memo hit/miss tallies, observation only (surfaced through
-#: :func:`characterization_cache_info` and the ``characterization`` probe of
-#: :mod:`repro.obs.metrics`).
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
+#: Bounded well above the few hundred classes a process builds.
+_CLASS_CACHE = register_table(LRUTable("characterization", 4096))
 
 
 def characterization_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters for the characterisation memo table."""
-    return {
-        "hits": _CACHE_HITS,
-        "misses": _CACHE_MISSES,
-        "size": len(_CLASS_CACHE),
-    }
+    return _CLASS_CACHE.info()
 
 
 @dataclass(frozen=True)
@@ -99,14 +90,14 @@ def characterize_class(
     if grades < 1:
         raise LibraryError("a resource class needs at least one grade")
 
-    global _CACHE_HITS, _CACHE_MISSES
     cache_key = (kind, width, model, grades, energy_factor, leakage_factor)
-    cached = _CLASS_CACHE.get(cache_key)
-    if cached is not None:
-        _CACHE_HITS += 1
-        return cached
-    _CACHE_MISSES += 1
+    return _CLASS_CACHE.get_or_build(
+        cache_key, lambda: _characterize(kind, width, model, grades,
+                                         energy_factor, leakage_factor))
 
+
+def _characterize(kind: OpKind, width: int, model: KindModel, grades: int,
+                  energy_factor: float, leakage_factor: float) -> ResourceClass:
     d_fast = model.fast_delay(width)
     d_slow = model.slow_delay(width)
     a_fast = model.fast_area(width)
@@ -133,9 +124,7 @@ def characterize_class(
                 leakage=round(leakage_factor * max(area, 1.0), 5),
             )
         )
-    resource_class = ResourceClass(kind, width, variants)
-    _CLASS_CACHE[cache_key] = resource_class
-    return resource_class
+    return ResourceClass(kind, width, variants)
 
 
 def default_kind_models() -> Dict[OpKind, KindModel]:

@@ -45,10 +45,10 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     cache_stats,
+    clear_caches,
     counter,
     gauge,
     histogram,
-    register_probe,
     registry,
     snapshot,
 )
@@ -75,8 +75,8 @@ __all__ = [
     "active_tracer", "tracing",
     # metrics
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "registry",
-    "counter", "gauge", "histogram", "register_probe", "snapshot",
-    "cache_stats",
+    "counter", "gauge", "histogram", "snapshot", "cache_stats",
+    "clear_caches",
     # profile
     "PHASE_OF", "SpanStat", "aggregate_spans", "phase_totals",
     "profile_report", "format_profile_markdown",

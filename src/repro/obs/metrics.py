@@ -1,52 +1,57 @@
-"""Process-wide metrics registry: counters, gauges, histograms, probes.
+"""Process-wide metrics registry: counters, gauges, histograms, memo tables.
 
 Every perf PR so far had to hand-instrument the hot path to find its wins;
-this registry makes the counters permanent and machine-readable.  Two kinds
-of metric sources coexist:
+this registry makes the counters permanent and machine-readable.  Three
+kinds of metric sources coexist:
 
 * **owned metrics** — :class:`Counter` / :class:`Gauge` / :class:`Histogram`
   objects created through :func:`counter` / :func:`gauge` /
   :func:`histogram` and incremented at the instrumentation site (the
   relaxation loop's attempts and II bumps, the oracle pass/fail/crash
   tallies, the sweep session's full/delta split);
-* **probes** — callables registered with :func:`register_probe` that *pull*
-  an existing subsystem's ad-hoc counters at snapshot time (the
-  :class:`~repro.core.analysis_cache.AnalysisCache` hit/miss tables).  A
-  probe adopts a counter into the registry without touching its public
-  accessors or adding a single instruction to the owning hot path.
+* **memo tables** — every process-wide :class:`LRUTable` (the analysis
+  cache's four tables, the budgeting and span templates, the library
+  characterisation memo) registers itself with :func:`register_table`
+  under a section/table name, so :func:`cache_stats` lists them without
+  naming any and :func:`clear_caches` empties them all;
+* **probes** — callables registered with
+  :meth:`MetricsRegistry.register_probe` that *pull* an external counter
+  source at snapshot time.
 
 :func:`snapshot` renders everything as one JSON-safe dict;
-:func:`cache_stats` is the unified cache-introspection call covering the
-analysis cache, the delta-slack seed cache and the library characterisation
-memos.
+:func:`cache_stats` is the unified cache-introspection call.
 
 Determinism: metrics are observation-only.  Nothing reads a metric to make
 a scheduling/budgeting/binding decision, so results with a hot registry are
 identical to results with a cold one.
 
-Thread-safety: metric creation and snapshots are lock-protected; the
-increment fast paths are plain ``+=`` on the owning object — atomic enough
-under the GIL for monitoring counters, and free of locks on the hot path.
+Thread-safety: metric creation, table lookups and snapshots are
+lock-protected; the counter increment fast paths are plain ``+=`` on the
+owning object — atomic enough under the GIL for monitoring counters, and
+free of locks on the hot path.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional
+from collections import OrderedDict
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LRUTable",
     "MetricsRegistry",
     "registry",
     "counter",
     "gauge",
     "histogram",
-    "register_probe",
+    "register_table",
     "snapshot",
     "reset",
     "cache_stats",
+    "clear_caches",
 ]
 
 
@@ -123,14 +128,71 @@ class Histogram:
         self.max = None
 
 
+class LRUTable:
+    """A thread-safe bounded memo table with hit/miss/eviction counters.
+
+    ``summarize``, when given, maps the cached values to extra
+    :meth:`info` fields (the span templates report their rule-memo size).
+    """
+
+    def __init__(self, name: str, maxsize: int,
+                 summarize: Optional[Callable[[Iterable[object]],
+                                              Dict[str, int]]] = None):
+        self.name = name
+        self.maxsize = maxsize
+        self._summarize = summarize
+        self._data: "OrderedDict" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get_or_build(self, key, build: Callable[[], object]):
+        with self._lock:
+            if key in self._data:
+                self.hits += 1
+                self._data.move_to_end(key)
+                return self._data[key]
+            self.misses += 1
+        # Build outside the lock: concurrent misses may duplicate work but
+        # every build is pure, so whichever result lands last is identical.
+        value = build()
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+                self.evictions += 1
+        return value
+
+    def clear(self) -> None:
+        """Drop every entry; the counters are kept."""
+        with self._lock:
+            self._data.clear()
+
+    def info(self) -> Dict[str, int]:
+        with self._lock:
+            info = {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "size": len(self._data),
+                "maxsize": self.maxsize,
+            }
+            if self._summarize is not None:
+                info.update(self._summarize(list(self._data.values())))
+            return info
+
+
 class MetricsRegistry:
-    """A named collection of metrics plus snapshot-time probes."""
+    """A named collection of metrics, memo tables and snapshot-time probes."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._tables: Dict[Tuple[Optional[str], str], LRUTable] = {}
         self._probes: Dict[str, Callable[[], Dict[str, object]]] = {}
 
     # -- creation (idempotent; returns the shared instance) ----------------------
@@ -167,10 +229,43 @@ class MetricsRegistry:
         with self._lock:
             self._probes[name] = probe
 
+    def register_table(self, table: LRUTable,
+                       section: Optional[str] = None) -> LRUTable:
+        """Adopt a memo table, listed as ``section.<table name>`` (or as
+        ``<table name>`` without a section); returns the table."""
+        with self._lock:
+            self._tables[(section, table.name)] = table
+        return table
+
+    def tables(self) -> Dict[Tuple[Optional[str], str], LRUTable]:
+        """Every registered table, keyed by ``(section, table name)``."""
+        with self._lock:
+            return dict(self._tables)
+
+    def table_stats(self) -> Dict[str, Dict[str, object]]:
+        """:meth:`LRUTable.info` of every table, nested by section."""
+        stats: Dict[str, Dict[str, object]] = {}
+        for (section, name), table in sorted(
+                self.tables().items(), key=lambda item: (item[0][0] or "",
+                                                         item[0][1])):
+            if section is None:
+                stats[name] = table.info()
+            else:
+                stats.setdefault(section, {})[name] = table.info()
+        return stats
+
+    def clear_tables(self) -> None:
+        """Empty every registered table; the hit/miss counters are kept."""
+        for table in self.tables().values():
+            table.clear()
+
     # -- reporting ---------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-safe dict of every metric and probe, sorted by name."""
+        """A JSON-safe dict of every metric, probe and table, sorted by name.
+
+        Memo tables report under ``probes`` next to the probe values.
+        """
         with self._lock:
             counters = {name: metric.value
                         for name, metric in sorted(self._counters.items())}
@@ -178,8 +273,8 @@ class MetricsRegistry:
                       for name, metric in sorted(self._gauges.items())}
             histograms = {name: metric.summary()
                           for name, metric in sorted(self._histograms.items())}
-            probes = dict(sorted(self._probes.items()))
-        probe_values: Dict[str, object] = {}
+            probes = dict(self._probes)
+        probe_values: Dict[str, object] = dict(self.table_stats())
         for name, probe in probes.items():
             try:
                 probe_values[name] = probe()
@@ -189,7 +284,7 @@ class MetricsRegistry:
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
-            "probes": probe_values,
+            "probes": dict(sorted(probe_values.items())),
         }
 
     def reset(self) -> None:
@@ -221,13 +316,11 @@ def histogram(name: str) -> Histogram:
     return _REGISTRY.histogram(name)
 
 
-def register_probe(name: str,
-                   probe: Callable[[], Dict[str, object]]) -> None:
-    _REGISTRY.register_probe(name, probe)
+def register_table(table: LRUTable, section: Optional[str] = None) -> LRUTable:
+    return _REGISTRY.register_table(table, section)
 
 
 def snapshot() -> Dict[str, object]:
-    _ensure_builtin_probes()
     return _REGISTRY.snapshot()
 
 
@@ -235,57 +328,40 @@ def reset() -> None:
     _REGISTRY.reset()
 
 
-# -- built-in probes + unified cache introspection -----------------------------
+def clear_caches() -> None:
+    """Empty every registered memo table, keeping its hit/miss counters.
 
-_builtin_probes_installed = False
-
-
-def _analysis_cache_probe() -> Dict[str, object]:
-    from repro.core.analysis_cache import default_cache
-
-    from repro.core.budgeting import budget_template_info
-    from repro.core.opspan import span_template_info
-
-    cache = default_cache()
-    info: Dict[str, object] = dict(cache.cache_info())
-    info["budget_templates"] = budget_template_info()
-    info["span_templates"] = span_template_info()
-    info["delta_evaluators"] = cache.delta_evaluators
-    info["delta_updates"] = cache.delta_updates
-    return info
+    The next analysis after this call runs cold, which is what a cold
+    measurement in an already warm process needs.
+    """
+    _REGISTRY.clear_tables()
 
 
-def _characterization_probe() -> Dict[str, object]:
-    from repro.lib.characterize import characterization_cache_info
-
-    return characterization_cache_info()
-
-
-def _ensure_builtin_probes() -> None:
-    """Register the adopting probes once (lazily, to keep imports acyclic)."""
-    global _builtin_probes_installed
-    if _builtin_probes_installed:
-        return
-    _builtin_probes_installed = True
-    register_probe("analysis_cache", _analysis_cache_probe)
-    register_probe("characterization", _characterization_probe)
+#: Owned counters :func:`cache_stats` reports, as section -> (counter-name
+#: prefix, fields): the budgeting kernel's delta-slack evaluations, the
+#: per-graph delta-slack seed caches, the JSONL stores and the serve layer's
+#: memo tier.
+_COUNTER_SECTIONS = {
+    "analysis_cache": ("analysis_cache.", ("delta_evaluators", "delta_updates")),
+    "delta_seeds": ("delta_seeds.", ("hits", "misses", "inserts", "patched")),
+    "jsonl_stores": ("jsonl.", ("skipped_lines", "appended_records")),
+    "serve": ("serve.cache.", ("hits", "misses", "puts", "compactions")),
+}
 
 
 def cache_stats() -> Dict[str, Dict[str, object]]:
     """One call covering every cache layer in the process.
 
-    * ``analysis_cache`` — the :class:`~repro.core.analysis_cache.AnalysisCache`
-      LRU tables (artifacts / timed structures / spans / sequential slack)
-      via :meth:`cache_info`, its delta-slack counters, and the two interned
-      template LRUs: ``budget_templates`` (:mod:`repro.core.budgeting`) and
-      ``span_templates`` (:mod:`repro.core.opspan`, with the entry count of
-      its span-rule memos);
+    * every registered :class:`LRUTable`, nested by section: the
+      ``analysis_cache`` tables (artifacts, timed structures, spans,
+      sequential slack, budgeting and span templates) and the
+      ``characterization`` memo;
+    * ``analysis_cache.delta_evaluators``/``delta_updates`` — delta-slack
+      evaluations run by the budgeting kernel and the incremental updates
+      they absorbed;
     * ``delta_seeds`` — hit/miss/insert tallies of the per-graph seed cache
-      in :mod:`repro.core.delta_slack` (owned counters, incremented at the
-      seed lookup), plus ``patched``: evaluators started from the nearest
-      cached seed instead of the full kernels;
-    * ``characterization`` — the library characterisation memo
-      (:data:`repro.lib.characterize._CLASS_CACHE`) hit/miss/size;
+      in :mod:`repro.core.delta_slack`, plus ``patched``: evaluators started
+      from the nearest cached seed instead of the full kernels;
     * ``jsonl_stores`` — lines the append-only JSONL loaders
       (:mod:`repro.core.jsonl`: result stores, corpora, trend histories)
       tolerated and dropped, plus records written through the locked
@@ -297,27 +373,12 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
       hit/miss/put tallies and the number of stale-line compactions its
       policy triggered.
 
-    This is the single entry point behind the profile reports'
-    cache-efficiency summary.
+    A table appears once its owning module is imported.  This is the single
+    entry point behind the profile reports' cache-efficiency summary.
     """
-    stats: Dict[str, Dict[str, object]] = {
-        "analysis_cache": _analysis_cache_probe(),
-        "delta_seeds": {
-            "hits": counter("delta_seeds.hits").value,
-            "misses": counter("delta_seeds.misses").value,
-            "inserts": counter("delta_seeds.inserts").value,
-            "patched": counter("delta_seeds.patched").value,
-        },
-        "characterization": dict(_characterization_probe()),
-        "jsonl_stores": {
-            "skipped_lines": counter("jsonl.skipped_lines").value,
-            "appended_records": counter("jsonl.appended_records").value,
-        },
-        "serve": {
-            "hits": counter("serve.cache.hits").value,
-            "misses": counter("serve.cache.misses").value,
-            "puts": counter("serve.cache.puts").value,
-            "compactions": counter("serve.cache.compactions").value,
-        },
-    }
+    stats = _REGISTRY.table_stats()
+    for section, (prefix, fields) in _COUNTER_SECTIONS.items():
+        target = stats.setdefault(section, {})
+        for field in fields:
+            target[field] = counter(prefix + field).value
     return stats

@@ -142,29 +142,20 @@ def profile_report(
 
 
 def _cache_efficiency_rows(caches: Dict[str, Dict[str, object]]) -> List[List[str]]:
+    """One row per hit/miss table of a :func:`cache_stats` dict: a section
+    with its own ``hits``/``misses`` is one row, otherwise each of its
+    tables is (``section.table``)."""
     rows: List[List[str]] = []
-    analysis = caches.get("analysis_cache", {})
-    for table in ("artifacts", "timed_structures", "spans",
-                  "sequential_slack", "budget_templates", "span_templates"):
-        info = analysis.get(table)
-        if not isinstance(info, dict):
-            continue
-        hits = int(info.get("hits", 0))
-        misses = int(info.get("misses", 0))
-        rows.append([f"analysis_cache.{table}", str(hits), str(misses),
-                     _hit_rate(hits, misses)])
-    seeds = caches.get("delta_seeds", {})
-    if seeds:
-        hits = int(seeds.get("hits", 0))
-        misses = int(seeds.get("misses", 0))
-        rows.append(["delta_seeds", str(hits), str(misses),
-                     _hit_rate(hits, misses)])
-    characterization = caches.get("characterization", {})
-    if characterization:
-        hits = int(characterization.get("hits", 0))
-        misses = int(characterization.get("misses", 0))
-        rows.append(["characterization", str(hits), str(misses),
-                     _hit_rate(hits, misses)])
+    for section, info in caches.items():
+        tables = ({section: info} if "hits" in info
+                  else {f"{section}.{name}": table
+                        for name, table in info.items()})
+        for name, table in tables.items():
+            if isinstance(table, dict) and "hits" in table:
+                hits = int(table["hits"])
+                misses = int(table.get("misses", 0))
+                rows.append([name, str(hits), str(misses),
+                             _hit_rate(hits, misses)])
     return rows
 
 

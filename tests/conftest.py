@@ -1,6 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import importlib
 import os
+import pkgutil
 import sys
 
 import pytest
@@ -54,3 +56,14 @@ def small_idct():
 def small_fir():
     """A small FIR design."""
     return fir_design(taps=6, latency=4, clock_period=1500.0)
+
+
+@pytest.fixture(scope="session")
+def all_repro_modules():
+    """Every module of the ``repro`` package, imported (``__main__`` entry
+    points excepted, since importing those runs a CLI)."""
+    import repro
+
+    return [importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith("__main__")]

@@ -1,6 +1,7 @@
 """Tests of the parallel, resumable DSE engine and the DSEResult range fixes."""
 
 import functools
+import json
 import os
 import pickle
 from dataclasses import dataclass
@@ -210,6 +211,32 @@ def test_checkpoint_of_a_different_factory_is_ignored(library, tmp_path):
     rerun = DSEEngine(IDCTPointFactory(rows=2), library, points,
                       executor="serial", checkpoint_path=checkpoint).run()
     assert [o.status for o in rerun.outcomes] == ["ok"] * 3
+
+
+def test_checkpoint_that_is_not_an_object_is_ignored(library, tmp_path):
+    """Valid JSON whose top level is not an object is a corrupt checkpoint:
+    the sweep starts fresh instead of crashing."""
+    checkpoint = tmp_path / "sweep.json"
+    checkpoint.write_text("[]")
+    result = DSEEngine(IDCTPointFactory(rows=1), library, sweep_points(),
+                       executor="serial", checkpoint_path=str(checkpoint)).run()
+    assert [o.status for o in result.outcomes] == ["ok"] * 3
+
+
+def test_checkpoint_point_record_that_is_not_an_object_is_ignored(
+        library, tmp_path):
+    """A matching checkpoint with a junk point record re-evaluates that
+    point and still restores the others."""
+    checkpoint = tmp_path / "sweep.json"
+    points = sweep_points()
+    DSEEngine(IDCTPointFactory(rows=1), library, points,
+              executor="serial", checkpoint_path=str(checkpoint)).run()
+    data = json.loads(checkpoint.read_text())
+    data["points"]["P0"] = "junk"
+    checkpoint.write_text(json.dumps(data))
+    rerun = DSEEngine(IDCTPointFactory(rows=1), library, points,
+                      executor="serial", checkpoint_path=str(checkpoint)).run()
+    assert [o.status for o in rerun.outcomes] == ["ok", "restored", "restored"]
 
 
 def _build_idct_point(point, rows=1):
