@@ -53,6 +53,7 @@ Quickstart::
 from repro._version import __version__
 from repro.errors import (
     ReproError,
+    InputError,
     IRError,
     ElaborationError,
     LibraryError,
@@ -113,6 +114,7 @@ _PUBLIC_API = {
 __all__ = [
     "__version__",
     "ReproError",
+    "InputError",
     "IRError",
     "ElaborationError",
     "LibraryError",

@@ -4,6 +4,10 @@ All exceptions raised intentionally by the library derive from
 :class:`ReproError` so callers can catch library failures with a single
 ``except`` clause while still letting programming errors (``TypeError``,
 ``KeyError`` on internal maps, ...) surface normally.
+
+Errors that only bad inputs can cause derive from :class:`InputError`:
+the same design, library and point raise them again, so a retry loop ends
+the job on the first one instead of sleeping and repeating the work.
 """
 
 
@@ -11,11 +15,19 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
 
 
-class IRError(ReproError):
+class InputError(ReproError):
+    """The inputs (design, library, point) are at fault.
+
+    The verdict is a function of the inputs alone: the same inputs raise it
+    again, so retrying cannot help.
+    """
+
+
+class IRError(InputError):
     """Raised for malformed CFG/DFG structures (validation failures)."""
 
 
-class ElaborationError(ReproError):
+class ElaborationError(InputError):
     """Raised when the frontend cannot lower a specification to the IR."""
 
 
@@ -33,19 +45,19 @@ class ParseError(ElaborationError):
         self.column = column
 
 
-class LibraryError(ReproError):
+class LibraryError(InputError):
     """Raised for inconsistent resource-library definitions or lookups."""
 
 
-class TimingError(ReproError):
+class TimingError(InputError):
     """Raised by the timing-analysis engines for invalid inputs."""
 
 
-class SchedulingError(ReproError):
+class SchedulingError(InputError):
     """Raised when a scheduling pass fails on a valid input."""
 
 
-class BindingError(ReproError):
+class BindingError(InputError):
     """Raised when binding/sharing cannot be completed."""
 
 

@@ -41,7 +41,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, is_dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
+from repro.errors import InputError, ReproError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.flows.dse import DesignPoint, DSEEntry, DSEResult, evaluate_point
@@ -75,7 +75,9 @@ class PointOutcome:
     ``status`` is ``"ok"`` (evaluated in this run; ``entry`` is the full
     :class:`DSEEntry`), ``"restored"`` (skipped because the checkpoint
     already had its metrics; ``entry`` is ``None``) or ``"error"`` (the
-    point raised; ``error``/``traceback`` describe the failure).
+    point raised; ``error``/``traceback`` describe the failure, and
+    ``input_error`` says whether it was an :class:`~repro.errors.InputError`,
+    which the same point raises again).
     """
 
     point: DesignPoint
@@ -85,6 +87,7 @@ class PointOutcome:
     error: Optional[str] = None
     traceback: Optional[str] = None
     worker_seconds: float = 0.0
+    input_error: bool = False
 
     @property
     def ok(self) -> bool:
@@ -142,9 +145,22 @@ class EngineResult:
                          wall_time_seconds=self.wall_time_seconds)
 
     def raise_on_errors(self) -> None:
-        if self.errors:
-            names = ", ".join(o.point.name for o in self.errors)
-            raise ReproError(f"{len(self.errors)} design point(s) failed: {names}")
+        """Raise if any point failed: :class:`~repro.errors.InputError` when
+        every failure was one (rerunning the sweep fails the same way),
+        plain :class:`~repro.errors.ReproError` otherwise."""
+        errors = self.errors
+        if errors:
+            names = ", ".join(o.point.name for o in errors)
+            error_cls = InputError if all(o.input_error for o in errors) \
+                else ReproError
+            raise error_cls(f"{len(errors)} design point(s) failed: {names}")
+
+
+def _error_result(index: int, exc: Exception, start: float):
+    """The result tuple of a point that raised ``exc``."""
+    return (index, "error", None, f"{type(exc).__name__}: {exc}",
+            traceback.format_exc(), time.perf_counter() - start, None,
+            isinstance(exc, InputError))
 
 
 def _evaluate_payload(payload):
@@ -152,9 +168,11 @@ def _evaluate_payload(payload):
 
     ``trace`` (the payload's last element) asks the worker to record spans
     locally — the parent's tracer does not cross the process boundary — and
-    ship the serialised trees back as the result tuple's last element, where
+    ship the serialised trees back in the result tuple's spans slot, where
     the parent :meth:`~repro.obs.trace.Tracer.adopt`\\ s them.  Thread and
-    serial paths share the parent's tracer directly and ship ``None``.
+    serial paths share the parent's tracer directly and ship ``None``.  The
+    tuple's last element says whether the point failed with an
+    :class:`~repro.errors.InputError`.
     """
     (index, factory, library, point, margin_fraction, use_cache, scheduling,
      trace) = payload
@@ -168,10 +186,9 @@ def _evaluate_payload(payload):
                                    scheduling=scheduling)
         spans = tracer.export() if tracer is not None else None
         return (index, "ok", entry, None, None,
-                time.perf_counter() - start, spans)
+                time.perf_counter() - start, spans, False)
     except Exception as exc:  # noqa: BLE001 — per-point isolation is the point
-        return (index, "error", None, f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(), time.perf_counter() - start, None)
+        return _error_result(index, exc, start)
 
 
 def _evaluate_in_session(session: SweepSession, index: int, point: DesignPoint):
@@ -187,10 +204,9 @@ def _evaluate_in_session(session: SweepSession, index: int, point: DesignPoint):
     try:
         entry = session.evaluate(point)
         return (index, "ok", entry, None, None,
-                time.perf_counter() - start, None)
+                time.perf_counter() - start, None, False)
     except Exception as exc:  # noqa: BLE001 — per-point isolation is the point
-        return (index, "error", None, f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(), time.perf_counter() - start, None)
+        return _error_result(index, exc, start)
 
 
 class DSEEngine:
@@ -437,7 +453,7 @@ class DSEEngine:
         return "thread", workers
 
     def _outcome_from_result(self, result, records) -> PointOutcome:
-        index, status, entry, error, tb, seconds, spans = result
+        index, status, entry, error, tb, seconds, spans, input_error = result
         point = self.points[index]
         if spans:
             tracer = _active_tracer()
@@ -454,7 +470,8 @@ class DSEEngine:
             }
         else:
             outcome = PointOutcome(point=point, status="error", error=error,
-                                   traceback=tb, worker_seconds=seconds)
+                                   traceback=tb, worker_seconds=seconds,
+                                   input_error=input_error)
             records[point.name] = {
                 "status": "error",
                 "error": error,

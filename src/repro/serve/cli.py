@@ -15,8 +15,9 @@ the contract, so a cron job can submit and a worker box can run.  ``smoke``
 is the self-contained CI gate: it submits a small IDCT sweep to an
 in-process service, drains it, asserts the status transitions, resubmits
 the identical job and asserts the warm run completes with **zero** new flow
-evaluations (the memo tier's core promise), exiting non-zero on any
-violation.
+evaluations (the memo tier's core promise), then submits an infeasible
+sweep and asserts it fails on its first attempt with no backoff (input
+errors are not retried), exiting non-zero on any violation.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--deadline", type=float, default=None, metavar="S",
                      help="per-job wall-clock deadline in seconds")
     run.add_argument("--retries", type=int, default=3, metavar="N",
-                     help="max attempts per job (default 3)")
+                     help="max attempts per job on transient errors "
+                          "(default 3); input errors such as an infeasible "
+                          "design and timeouts are never retried")
     run.add_argument("--compact-after", type=int, default=256, metavar="N",
                      help="compact the store once N superseded lines "
                           "accumulate (default 256)")
@@ -222,11 +225,30 @@ def _cmd_smoke(args) -> int:
     check(json.dumps(warm["points"], sort_keys=True)
           == json.dumps(cold["points"], sort_keys=True),
           "warm metrics must be byte-identical to the cold run")
+
+    # Input fault — no adder grade meets a 100 ps clock, and the same
+    # inputs fail the same way again, so the job must fail on its first
+    # attempt without sleeping.
+    infeasible = warm_service.submit({
+        "kind": "sweep", "tenant": "smoke",
+        "payload": dict(sweep_payload(latencies=(6,)), clocks=[100.0])})
+    warm_service.run_pending()
+    status = warm_service.status(infeasible["job_id"])
+    check(status["state"] == "failed",
+          f"infeasible job ended {status['state']!r}")
+    failure = status["failure"] or {}
+    check(status["attempts"] == 1,
+          f"infeasible job took {status['attempts']} attempts, expected 1")
+    check(all(attempt["backoff_seconds"] == 0.0
+              for attempt in failure.get("attempts", [])),
+          "infeasible job must not back off")
+    check(str(failure.get("error")).startswith("InfeasibleDesignError: "),
+          f"infeasible job failed with {failure.get('error')!r}")
+
     print(f"serve smoke ok: cold={cold['evaluations']} evaluation(s), "
-          f"warm={warm['evaluations']} (all {warm['cache_hits']} from cache); "
-          f"artifacts in {workdir}" if args.keep else
-          f"serve smoke ok: cold={cold['evaluations']} evaluation(s), "
-          f"warm={warm['evaluations']} (all {warm['cache_hits']} from cache)")
+          f"warm={warm['evaluations']} (all {warm['cache_hits']} from "
+          "cache), infeasible failed after 1 attempt"
+          + (f"; artifacts in {workdir}" if args.keep else ""))
     return 0
 
 

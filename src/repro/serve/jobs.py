@@ -14,7 +14,8 @@ one —
   adaptive Pareto exploration (:class:`repro.explore.adaptive.AdaptiveExplorer`).
 
 Payloads are validated eagerly at construction (:meth:`JobSpec.parse_payload`
-round-trips them through the owning layer's ``from_dict``), so a malformed
+round-trips them through the owning layer's ``from_dict``, and sweep and
+explore jobs build one design per distinct latency), so a malformed
 submission is rejected at the submit endpoint, not discovered by a worker.
 
 A :class:`JobRecord` is the queue's unit of state: the spec plus the job's
@@ -71,7 +72,9 @@ class JobSpec:
         # submit endpoint, not in a worker three retries later.
         object.__setattr__(self, "payload",
                            json.loads(json.dumps(dict(self.payload))))
-        self.parse_payload()
+        job = self.parse_payload()
+        if self.kind != KIND_SUBMIT_DESIGN:
+            self._check_workload(job)
 
     def parse_payload(self):
         """The payload as its owning layer's object (validates on the way).
@@ -87,21 +90,35 @@ class JobSpec:
         if self.kind == KIND_SWEEP:
             from repro.campaign.spec import SweepJob
 
-            return self._check_workload(SweepJob.from_dict(self.payload))
+            return SweepJob.from_dict(self.payload)
         from repro.campaign.spec import ExploreJob
 
-        return self._check_workload(ExploreJob.from_dict(self.payload))
+        return ExploreJob.from_dict(self.payload)
 
-    @staticmethod
-    def _check_workload(job):
-        # SweepJob/ExploreJob only resolve their workload name when a
-        # worker builds the factory; resolve it here so an unknown name is
-        # rejected at submit time like every other payload defect.
+    def _check_workload(self, job) -> None:
+        # SweepJob/ExploreJob only resolve their workload name and build
+        # their designs in a worker; do both here, one design per distinct
+        # latency, so an unknown name or an unbuildable point (an IDCT
+        # with fewer than two states) is rejected at submit time like
+        # every other payload defect.
+        from repro.flows.dse import DesignPoint
+
+        if self.kind == KIND_SWEEP:
+            first: Dict[int, DesignPoint] = {}
+            for point in job.points():
+                first.setdefault(point.latency, point)
+            points = list(first.values())
+        else:
+            points = [DesignPoint(name=f"{job.workload}_L{latency}",
+                                  latency=latency,
+                                  clock_period=job.clock_period)
+                      for latency in sorted(set(job.latencies))]
         try:
-            job.factory()
+            factory = job.factory()
+            for point in points:
+                factory(point)
         except ValueError as exc:
             raise ReproError(str(exc)) from exc
-        return job
 
     def fingerprint(self) -> str:
         """A stable identity of the request (kind + canonical payload).

@@ -8,10 +8,17 @@ are retried up to ``max_attempts`` with exponentially growing, jittered
 backoff, and whatever happens is recorded as a structured, JSON-safe
 :class:`AttemptRecord` list the job's status endpoint can report verbatim.
 
-Two deliberately asymmetric failure classes:
+Three failure classes, only the first of them retried:
 
-* **errors** (any exception out of the job body) are *retried* — transient
-  resource trouble is exactly what a retry policy exists for;
+* **transient errors** (any exception out of the job body that is not
+  one of the two below, plain :class:`~repro.errors.ReproError` included)
+  are *retried* — transient resource trouble is exactly what a retry
+  policy exists for;
+* **input errors** (:class:`~repro.errors.InputError`, e.g. the paper's
+  "design is overconstrained" verdict,
+  :class:`~repro.errors.InfeasibleDesignError`) are *terminal* — they are
+  a function of the job's inputs, so the same inputs raise them again and
+  the job fails on its first attempt with no backoff sleep;
 * **timeouts** (:class:`~repro.errors.DeadlineExceeded`) are *terminal* —
   the deadline bounds the whole job, so by the time an attempt has timed
   out there is no budget left to retry into, and the evaluation that hung
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TypeVar
 
 from repro.core.deadline import call_with_deadline
-from repro.errors import DeadlineExceeded, ReproError
+from repro.errors import DeadlineExceeded, InputError, ReproError
 from repro.obs.metrics import counter as _obs_counter
 
 T = TypeVar("T")
@@ -160,12 +167,13 @@ def run_with_retry(
 ) -> RetryOutcome:
     """Run ``fn`` under ``policy`` and return a :class:`RetryOutcome`.
 
-    Never raises for job-level failures: errors exhaust the attempt budget
-    and timeouts terminate early, both returning ``ok=False`` with a
-    structured failure record (the service stores it on the job and the
-    status endpoint serves it).  ``clock``/``sleep`` are injectable for
-    deterministic tests; the deadline is measured on ``clock``, enforced
-    by :func:`~repro.core.deadline.call_with_deadline` on real wall time.
+    Never raises for job-level failures: transient errors exhaust the
+    attempt budget, input errors and timeouts terminate early, all
+    returning ``ok=False`` with a structured failure record (the service
+    stores it on the job and the status endpoint serves it).
+    ``clock``/``sleep`` are injectable for deterministic tests; the
+    deadline is measured on ``clock``, enforced by
+    :func:`~repro.core.deadline.call_with_deadline` on real wall time.
     """
     start = clock()
     delays = policy.backoff_sequence()
@@ -188,7 +196,9 @@ def run_with_retry(
                                                         attempts))
         except Exception as exc:  # noqa: BLE001 — retry loops isolate everything
             error = f"{type(exc).__name__}: {exc}"
-            last = index == policy.max_attempts - 1
+            # The same inputs raise an input error again: end the job here.
+            last = (isinstance(exc, InputError)
+                    or index == policy.max_attempts - 1)
             backoff = 0.0 if last else delays[index]
             attempts.append(AttemptRecord(
                 index=index, outcome="error", error=error,

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import InputError, ReproError
 from repro.flows import (
     DesignPoint,
     DSEEngine,
@@ -143,6 +143,34 @@ def test_failing_point_is_isolated_in_process_pool(library):
                        executor="process", max_workers=2).run()
     assert [o.status for o in result.outcomes] == ["ok", "error", "ok"]
     assert "injected failure on P1" in result.outcomes[1].error
+
+
+def _infeasible_points():
+    # 100 ps is below the fastest adder grade: InfeasibleDesignError.
+    return [DesignPoint(name="P0", latency=8, clock_period=1500.0),
+            DesignPoint(name="P1", latency=8, clock_period=100.0)]
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+def test_input_error_points_raise_input_error(library, executor):
+    result = DSEEngine(IDCTPointFactory(rows=1), library, _infeasible_points(),
+                       executor=executor, max_workers=2).run()
+    assert [o.status for o in result.outcomes] == ["ok", "error"]
+    assert [o.input_error for o in result.outcomes] == [False, True]
+    assert result.outcomes[1].error.startswith("InfeasibleDesignError: ")
+    with pytest.raises(InputError, match="P1"):
+        result.raise_on_errors()
+
+
+def test_one_transient_failure_keeps_raise_on_errors_transient(library):
+    points = sweep_points() + [DesignPoint(name="P3", latency=8,
+                                           clock_period=100.0)]
+    result = DSEEngine(FailingFactory(rows=1), library, points,
+                       executor="serial").run()
+    assert [o.input_error for o in result.errors] == [False, True]
+    with pytest.raises(ReproError) as raised:
+        result.raise_on_errors()
+    assert not isinstance(raised.value, InputError)
 
 
 # -- checkpoint / resume -----------------------------------------------------------

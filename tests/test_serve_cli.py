@@ -106,8 +106,21 @@ class TestSmoke:
         assert main(["smoke", "--keep", keep]) == 0
         out = capsys.readouterr().out
         assert "serve smoke ok" in out
+        assert "infeasible failed after 1 attempt" in out
         assert (tmp_path / "smoke" / "store.jsonl").exists()
         assert (tmp_path / "smoke" / "queue.jsonl").exists()
+
+        # The input-fault leg left one failed job behind: one attempt, no
+        # backoff, the flow's InfeasibleDesignError verdict.
+        from repro.serve.queue import JobQueue
+
+        queue = JobQueue(path=str(tmp_path / "smoke" / "queue.jsonl"))
+        assert queue.counts() == {"done": 2, "failed": 1}
+        [failed] = [record for record in queue.jobs()
+                    if record.state == "failed"]
+        assert [attempt["backoff_seconds"]
+                for attempt in failed.attempts] == [0.0]
+        assert failed.failure["error"].startswith("InfeasibleDesignError: ")
 
 
 class TestParser:

@@ -88,6 +88,13 @@ class TestErrorMapping:
                                           "latencies": [6]}})
         assert status == 400 and "error" in payload
 
+    def test_unbuildable_sweep_point_is_400(self):
+        service = _service()
+        status, payload = route_request(service, "POST", "/submit",
+                                        _spec_body(latencies=(1,)))
+        assert status == 400 and "at least two states" in payload["error"]
+        assert service.queue.counts() == {}
+
     def test_missing_body_is_400(self):
         status, _ = route_request(_service(), "POST", "/submit", None)
         assert status == 400

@@ -57,6 +57,14 @@ class TestJobSpec:
         with pytest.raises(ReproError):
             JobSpec(kind="submit-design", payload={"not": "a scenario"})
 
+    def test_unbuildable_points_rejected_at_construction(self):
+        # An IDCT needs two states; the builder's ValueError must surface
+        # at submit time, not in a worker after three retries.
+        with pytest.raises(ReproError, match="at least two states"):
+            JobSpec(kind="sweep", payload=sweep_payload(latencies=(6, 1)))
+        with pytest.raises(ReproError, match="at least two states"):
+            JobSpec(kind="explore", payload=explore_payload(latencies=(1, 4)))
+
     def test_non_mapping_payload_rejected(self):
         with pytest.raises(ReproError):
             JobSpec(kind="sweep", payload=[1, 2, 3])

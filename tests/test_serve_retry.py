@@ -2,14 +2,27 @@
 
 Everything here runs on the fake clock — no real sleeping — except the
 deadline tests, which exercise the real thread-based cutoff with
-sub-second budgets.
+sub-second budgets, and the traffic check, which runs the real flows on
+generated scenarios.
 """
 
+import itertools
 import time
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import (
+    BindingError,
+    ElaborationError,
+    InfeasibleDesignError,
+    InputError,
+    IRError,
+    LibraryError,
+    ParseError,
+    ReproError,
+    SchedulingError,
+    TimingError,
+)
 from repro.serve.fakes import FakeClock
 from repro.serve.retry import AttemptRecord, RetryPolicy, run_with_retry
 
@@ -164,3 +177,81 @@ class TestRunWithRetry:
         record = AttemptRecord(index=0, outcome="error", error="boom",
                                elapsed_seconds=0.5, backoff_seconds=0.1)
         json.dumps(record.as_dict())
+
+
+class TestInputErrorsAreTerminal:
+    @pytest.mark.parametrize("error_cls", [
+        InfeasibleDesignError, IRError, ElaborationError, ParseError,
+        LibraryError, TimingError, SchedulingError, BindingError, InputError,
+    ])
+    def test_input_error_ends_the_job_on_its_first_attempt(self, error_cls):
+        clock = FakeClock()
+        calls = []
+
+        def broken_input():
+            calls.append(1)
+            raise error_cls("the inputs are at fault")
+
+        outcome = run_with_retry(broken_input, RetryPolicy(max_attempts=5),
+                                 what="job j1", clock=clock,
+                                 sleep=clock.sleep)
+        assert len(calls) == 1
+        assert clock.sleeps == []
+        assert not outcome.ok and not outcome.timed_out
+        assert [a.as_dict() for a in outcome.attempts] == [
+            AttemptRecord(index=0, outcome="error",
+                          error=f"{error_cls.__name__}: "
+                                "the inputs are at fault").as_dict()]
+        assert outcome.failure["kind"] == "error"
+        assert outcome.failure["error"] == outcome.attempts[0].error
+
+    def test_input_error_after_a_transient_one_stops_retrying(self):
+        clock = FakeClock()
+        policy = RetryPolicy(max_attempts=5, jitter_seed=3)
+        calls = []
+
+        def transient_then_infeasible():
+            calls.append(1)
+            if len(calls) == 1:
+                raise ReproError("transient")
+            raise InfeasibleDesignError("overconstrained")
+
+        outcome = run_with_retry(transient_then_infeasible, policy,
+                                 clock=clock, sleep=clock.sleep)
+        assert len(calls) == 2
+        assert clock.sleeps == policy.backoff_sequence()[:1]
+        assert [a.backoff_seconds for a in outcome.attempts] \
+            == clock.sleeps + [0.0]
+        assert outcome.failure["error"] \
+            == "InfeasibleDesignError: overconstrained"
+
+
+class TestScenarioTrafficFailures:
+    """The failures generated traffic really produces are input errors.
+
+    Served ``submit-design`` jobs come from the scenario generator; if it
+    starts producing a failure class outside :class:`InputError`, that
+    class falls back into the retry path (three attempts and real backoff
+    sleep per job), and this test names it.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_every_failure_of_200_draws_is_an_input_error(self, seed,
+                                                          library):
+        from repro.flows.dse import evaluate_point
+        from repro.verify.scenarios import scenario_stream
+
+        failures = []
+        for _, spec in itertools.islice(scenario_stream(seed), 200):
+            scheduling = "pipeline" if spec.pipeline_ii is not None \
+                else "block"
+            try:
+                evaluate_point(spec.factory(), library,
+                               spec.point(name=spec.name),
+                               margin_fraction=spec.margin_fraction,
+                               scheduling=scheduling)
+            except Exception as exc:  # noqa: BLE001 — classified below
+                failures.append(exc)
+        assert failures, "the stream is expected to contain failing draws"
+        assert [type(exc).__name__ for exc in failures
+                if not isinstance(exc, InputError)] == []

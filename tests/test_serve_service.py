@@ -263,6 +263,60 @@ class TestRetryAndTimeout:
         assert service.run_pending() == 1
 
 
+class TestInputErrorsAreNotRetried:
+    """An input error (the paper's "design is overconstrained" verdict)
+    fails the job on its first attempt under the default policy: the same
+    inputs would raise it again, so there is nothing to retry or sleep
+    for."""
+
+    def test_infeasible_design_fails_once_for_every_tenant(self, library):
+        import itertools
+
+        from repro.errors import InfeasibleDesignError
+        from repro.flows.dse import evaluate_point
+        from repro.verify.scenarios import scenario_stream
+
+        for _, scenario in itertools.islice(scenario_stream(1), 200):
+            try:
+                evaluate_point(scenario.factory(), library,
+                               scenario.point(name=scenario.name),
+                               margin_fraction=scenario.margin_fraction,
+                               scheduling="pipeline"
+                               if scenario.pipeline_ii is not None
+                               else "block")
+            except InfeasibleDesignError as exc:
+                direct = f"{type(exc).__name__}: {exc}"
+                break
+        else:
+            raise AssertionError("no infeasible draw in the stream")
+
+        service = DSEService(library=library)
+        receipts = [service.submit(JobSpec("submit-design",
+                                           scenario.to_dict(), tenant=tenant))
+                    for tenant in ("team-a", "team-b")]
+        assert service.run_pending() == 2
+        for receipt in receipts:
+            status = service.status(receipt["job_id"])
+            assert status["state"] == "failed"
+            assert status["attempts"] == 1
+            assert status["failure"]["kind"] == "error"
+            assert status["failure"]["error"] == direct
+            assert status["failure"]["attempts"][0]["backoff_seconds"] == 0.0
+
+    def test_pooled_sweep_with_an_infeasible_point_fails_once(self, library):
+        service = DSEService(library=library, executor="thread",
+                             max_workers=2)
+        payload = dict(sweep_payload(latencies=(6,)),
+                       clocks=[100.0, 1500.0])
+        receipt = service.submit(JobSpec("sweep", payload))
+        service.run_pending()
+        status = service.status(receipt["job_id"])
+        assert status["state"] == "failed"
+        assert status["attempts"] == 1
+        assert status["failure"]["error"] \
+            == "InputError: 1 design point(s) failed: idct_L6_T100"
+
+
 class TestWorkerPool:
     def test_workers_drain_the_queue_concurrently(self):
         fake = FakeEvaluator()
